@@ -1,7 +1,7 @@
 #include "core/energy_cost_study.hh"
 
+#include "plant/study.hh"
 #include "util/error.hh"
-#include "util/units.hh"
 
 namespace tts {
 namespace core {
@@ -10,81 +10,31 @@ EnergyCostResult
 priceCoolingEnergy(const CoolingStudyResult &study,
                    const EnergyCostOptions &options)
 {
-    require(options.flatCop > 0.0,
-            "priceCoolingEnergy: COP must be > 0");
     require(options.clusters >= 1,
             "priceCoolingEnergy: need at least one cluster");
+    const double scale = static_cast<double>(options.clusters);
+
+    plant::PlantConfig config;
+    config.tuning = options.tuning;
+    config.ambient = options.ambient;
+    config.recordSeries = false;
+    auto yearly = [&](plant::BackendKind kind,
+                      const TimeSeries &cluster_load) {
+        plant::PlantScenario scenario;
+        scenario.loadW = cluster_load.scaled(scale);
+        config.options.kind = kind;
+        return plant::runPlant(scenario, config).yearlyNetCostUsd;
+    };
+
     const auto &base = study.baseline.coolingLoadW;
     const auto &wax = study.withWax.coolingLoadW;
-    require(base.size() >= 2 && wax.size() >= 2,
-            "priceCoolingEnergy: cooling study has no series");
-
-    double scale = static_cast<double>(options.clusters);
-    double span_days =
-        (base.endTime() - base.startTime()) / units::days(1.0);
-    require(span_days > 0.0,
-            "priceCoolingEnergy: degenerate study span");
-    double to_year = 365.25 / span_days;
-
-    // Flat-COP plant: electric power = load / COP, priced by the
-    // time-of-use tariff.
-    auto flat_cost = [&](const TimeSeries &load) {
-        TimeSeries elec("elec_w");
-        for (std::size_t i = 0; i < load.size(); ++i) {
-            elec.append(load.times()[i],
-                        scale * std::max(load.values()[i], 0.0) /
-                            options.flatCop);
-        }
-        return options.tariff.costOf(elec) * to_year;
-    };
-
-    // Economizer plant: the COP follows the diurnal ambient.
-    auto econo_cost = [&](const TimeSeries &load) {
-        auto elec = options.economizer.electricSeries(
-            load, options.ambient);
-        return options.tariff.costOf(elec.scaled(scale)) * to_year;
-    };
-
-    // Hot-water plant (iDataCool): a loop captures hwEffectiveness
-    // of the heat as reusable hot water, the chiller removes the
-    // residue, a pump overhead is paid, and the captured heat earns
-    // a thermal credit.
-    require(options.hwEffectiveness > 0.0 &&
-                options.hwEffectiveness <= 1.0 &&
-                options.hwMechanicalCop > 0.0 &&
-                options.hwPumpFraction >= 0.0 &&
-                options.hwReusePricePerKWh >= 0.0,
-            "priceCoolingEnergy: bad hot-water options");
-    auto hot_water = [&](const TimeSeries &load,
-                         double *credit_out) {
-        TimeSeries elec("elec_w");
-        double reused_j = 0.0;
-        const auto &times = load.times();
-        const auto &values = load.values();
-        for (std::size_t i = 0; i < times.size(); ++i) {
-            double v = scale * std::max(values[i], 0.0);
-            double reused = v * options.hwEffectiveness;
-            elec.append(times[i],
-                        (v - reused) / options.hwMechanicalCop +
-                            options.hwPumpFraction * v);
-            if (i + 1 < times.size())
-                reused_j += reused * (times[i + 1] - times[i]);
-        }
-        double credit = options.hwReusePricePerKWh *
-            units::toKWh(reused_j) * to_year;
-        if (credit_out)
-            *credit_out = credit;
-        return options.tariff.costOf(elec) * to_year - credit;
-    };
-
     EnergyCostResult out;
-    out.flatCostNoWax = flat_cost(base);
-    out.flatCostWithWax = flat_cost(wax);
-    out.economizerCostNoWax = econo_cost(base);
-    out.economizerCostWithWax = econo_cost(wax);
-    out.hotWaterCostNoWax =
-        hot_water(base, &out.hotWaterReuseCreditNoWax);
-    out.hotWaterCostWithWax = hot_water(wax, nullptr);
+    out.flatCostNoWax = yearly(plant::BackendKind::Crac, base);
+    out.flatCostWithWax = yearly(plant::BackendKind::Crac, wax);
+    out.economizerCostNoWax =
+        yearly(plant::BackendKind::Economizer, base);
+    out.economizerCostWithWax =
+        yearly(plant::BackendKind::Economizer, wax);
     return out;
 }
 

@@ -8,16 +8,17 @@
  * electricity is cheaper at night ($0.13 vs. $0.08 per kWh in the
  * paper's own TCO assumptions), and night air is colder, so an
  * economizer removes each joule more cheaply.  This study runs the
- * Section 5.1 cooling loads through the time-of-use tariff and the
- * economizer plant model and reports the yearly OpEx delta.
+ * Section 5.1 cooling loads, scaled to the whole facility, through
+ * plant::runPlant under the CRAC and economizer backends - the one
+ * place cooling is priced - and reports the yearly OpEx delta.
  */
 
 #ifndef TTS_CORE_ENERGY_COST_STUDY_HH
 #define TTS_CORE_ENERGY_COST_STUDY_HH
 
 #include "core/cooling_study.hh"
-#include "datacenter/cooling_system.hh"
 #include "datacenter/free_cooling.hh"
+#include "plant/backend.hh"
 
 namespace tts {
 namespace core {
@@ -25,44 +26,25 @@ namespace core {
 /** Options for the energy-cost study. */
 struct EnergyCostOptions
 {
-    /** Time-of-use tariff (paper: 0.13 / 0.08 $/kWh). */
-    datacenter::ElectricityTariff tariff;
+    /** Plant knobs: tariff, CRAC COP, economizer model. */
+    plant::PlantTuning tuning;
     /** Diurnal ambient for the economizer scenario. */
     datacenter::AmbientModel ambient;
-    /** Economizer-equipped plant. */
-    datacenter::EconomizerCoolingModel economizer;
-    /** Flat-COP plant for the baseline scenario. */
-    double flatCop = 3.5;
     /** Facility scale: clusters of 1008 made whole-facility. */
     std::size_t clusters = 50;
-
-    /** Hot-water loop capture effectiveness, in (0, 1]. */
-    double hwEffectiveness = 0.75;
-    /** COP removing the heat the hot-water loop cannot capture. */
-    double hwMechanicalCop = 3.5;
-    /** Loop pump electric power as a fraction of the heat load. */
-    double hwPumpFraction = 0.02;
-    /** Credit for captured reusable heat (USD/kWh thermal). */
-    double hwReusePricePerKWh = 0.03;
 };
 
 /** Energy costs for one platform (USD per year, whole facility). */
 struct EnergyCostResult
 {
-    /** Flat-COP plant, tariff priced: no wax. */
+    /** CRAC plant, tariff priced: no wax. */
     double flatCostNoWax = 0.0;
-    /** Flat-COP plant, tariff priced: with wax. */
+    /** CRAC plant, tariff priced: with wax. */
     double flatCostWithWax = 0.0;
     /** Economizer plant, tariff priced: no wax. */
     double economizerCostNoWax = 0.0;
     /** Economizer plant, tariff priced: with wax. */
     double economizerCostWithWax = 0.0;
-    /** Hot-water plant, net of the reuse credit: no wax. */
-    double hotWaterCostNoWax = 0.0;
-    /** Hot-water plant, net of the reuse credit: with wax. */
-    double hotWaterCostWithWax = 0.0;
-    /** Yearly reuse credit of the no-wax hot-water plant (USD). */
-    double hotWaterReuseCreditNoWax = 0.0;
 
     /** @return Yearly OpEx saving with a flat-COP plant (USD). */
     double flatSaving() const
@@ -74,18 +56,13 @@ struct EnergyCostResult
     {
         return economizerCostNoWax - economizerCostWithWax;
     }
-    /** @return Yearly OpEx saving on the hot-water plant (USD). */
-    double hotWaterSaving() const
-    {
-        return hotWaterCostNoWax - hotWaterCostWithWax;
-    }
 };
 
 /**
  * Price the cooling energy of an already-run cooling study.
  *
  * @param study   Section 5.1 result (baseline + wax cluster loads).
- * @param options Tariff, ambient, and plant models.
+ * @param options Plant tuning, ambient, and facility scale.
  */
 EnergyCostResult priceCoolingEnergy(
     const CoolingStudyResult &study,

@@ -103,19 +103,5 @@ CoolingSystem::electricSeries(const TimeSeries &load_w) const
     return out;
 }
 
-TimeSeries
-pueSeries(const TimeSeries &it_power_w,
-          const TimeSeries &cooling_elec_w)
-{
-    require(it_power_w.size() >= 1 && cooling_elec_w.size() >= 1,
-            "pueSeries: empty input");
-    return TimeSeries::combine(
-        it_power_w, cooling_elec_w,
-        [](double it, double cool) {
-            return it > 0.0 ? (it + cool) / it : 1.0;
-        },
-        "pue");
-}
-
 } // namespace datacenter
 } // namespace tts

@@ -87,17 +87,6 @@ class CoolingSystem
     double cop_;
 };
 
-/**
- * Power usage effectiveness over time: (IT + cooling electric) / IT.
- * Uses the classic simplification that cooling dominates the
- * non-IT overhead.
- *
- * @param it_power_w       IT (wall) power series (W).
- * @param cooling_elec_w   Cooling electric power series (W).
- */
-TimeSeries pueSeries(const TimeSeries &it_power_w,
-                     const TimeSeries &cooling_elec_w);
-
 } // namespace datacenter
 } // namespace tts
 

@@ -36,10 +36,6 @@ struct DatacenterConfig
     double provisionedPerServerW = 0.0;
     /** Pin the cluster count (0 = derive from critical power). */
     std::size_t clusterCountOverride = 0;
-    /** Cooling plant COP. */
-    double coolingCop = 3.5;
-    /** Electricity tariff. */
-    ElectricityTariff tariff;
 };
 
 /** A homogeneous datacenter. */

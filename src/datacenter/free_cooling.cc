@@ -1,5 +1,6 @@
 #include "datacenter/free_cooling.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hh"
@@ -59,29 +60,6 @@ EconomizerCoolingModel::electricPower(double load_w,
     require(std::isfinite(load_w) && load_w >= 0.0,
             "EconomizerCoolingModel: load must be finite and >= 0");
     return load_w / copAt(ambient_c);
-}
-
-TimeSeries
-EconomizerCoolingModel::electricSeries(
-    const TimeSeries &load_w, const AmbientModel &ambient) const
-{
-    TimeSeries out("cooling_electric_w");
-    for (std::size_t i = 0; i < load_w.size(); ++i) {
-        double t = load_w.times()[i];
-        double load = std::max(load_w.values()[i], 0.0);
-        out.append(t, electricPower(load, ambient.at(t)));
-    }
-    return out;
-}
-
-double
-EconomizerCoolingModel::electricEnergy(
-    const TimeSeries &load_w, const AmbientModel &ambient) const
-{
-    auto elec = electricSeries(load_w, ambient);
-    require(elec.size() >= 2,
-            "EconomizerCoolingModel: series too short");
-    return elec.integral(elec.startTime(), elec.endTime());
 }
 
 } // namespace datacenter

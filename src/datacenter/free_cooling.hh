@@ -15,8 +15,6 @@
 #ifndef TTS_DATACENTER_FREE_COOLING_HH
 #define TTS_DATACENTER_FREE_COOLING_HH
 
-#include "util/time_series.hh"
-
 namespace tts {
 namespace datacenter {
 
@@ -79,23 +77,6 @@ class EconomizerCoolingModel
      * copAt() diagnostics).
      */
     double electricPower(double load_w, double ambient_c) const;
-
-    /**
-     * Electric power series for a heat-load series under a diurnal
-     * ambient.
-     *
-     * @param load_w  Heat load over time (W).
-     * @param ambient Diurnal ambient model.
-     */
-    TimeSeries electricSeries(const TimeSeries &load_w,
-                              const AmbientModel &ambient) const;
-
-    /**
-     * Total cooling electric energy (J) for a load series under a
-     * diurnal ambient.
-     */
-    double electricEnergy(const TimeSeries &load_w,
-                          const AmbientModel &ambient) const;
 };
 
 } // namespace datacenter

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <utility>
 
+#include "cache/fingerprint.hh"
 #include "exec/parallel.hh"
 #include "obs/obs.hh"
 #include "serve/eval.hh"
@@ -287,7 +288,7 @@ Daemon::process(Job &job)
         return Reply::errorReply(ErrorKind::Malformed, e.what());
     }
     const std::string canonical = canonicalText(req);
-    const std::uint64_t fp = fnv1a(canonical);
+    const std::uint64_t fp = cache::fnv1a(canonical);
 
     // Rung 1: a cached answer is free, so it is served even when
     // the deadline has lapsed - deadlines bound time-to-evaluate,

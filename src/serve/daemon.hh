@@ -58,8 +58,8 @@
 #include <thread>
 #include <vector>
 
+#include "cache/result_cache.hh"
 #include "serve/batch.hh"
-#include "serve/cache.hh"
 #include "serve/fault.hh"
 #include "serve/protocol.hh"
 
@@ -84,7 +84,7 @@ struct DaemonConfig
     /** Largest request document accepted (bytes). */
     std::size_t maxRequestBytes = 64 * 1024;
     /** Result cache sizing/persistence. */
-    CacheConfig cache;
+    tts::cache::CacheConfig cache;
     /** Miss batching for fleet-backed studies (serve/batch.hh);
      *  windowMs = 0 evaluates every miss individually. */
     BatchOptions batch;
@@ -163,7 +163,7 @@ class Daemon
     void shutdown();
 
     /** @return What the cache-snapshot load found (for logging). */
-    CacheLoadOutcome cacheLoadOutcome() const
+    cache::CacheLoadOutcome cacheLoadOutcome() const
     {
         return loadOutcome_;
     }
@@ -172,7 +172,7 @@ class Daemon
     DaemonStats stats() const;
 
     /** @return Cache counters (hits/misses/evictions/...). */
-    ResultCache::Counters cacheCounters() const
+    cache::ResultCache::Counters cacheCounters() const
     {
         return cache_.counters();
     }
@@ -203,9 +203,10 @@ class Daemon
 
     DaemonConfig config_;
     ServeFaultPlan faults_;
-    ResultCache cache_;
+    cache::ResultCache cache_;
     MissBatcher batcher_;
-    CacheLoadOutcome loadOutcome_ = CacheLoadOutcome::Fresh;
+    cache::CacheLoadOutcome loadOutcome_ =
+        cache::CacheLoadOutcome::Fresh;
 
     mutable std::mutex mu_;
     std::condition_variable workReady_;

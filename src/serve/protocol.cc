@@ -1,10 +1,12 @@
 #include "serve/protocol.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -321,17 +323,9 @@ canonicalText(const Request &req)
 }
 
 std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    // Delegates to the unified fingerprint module so the serve cache
-    // and the opt memo can never hash differently.
-    return cache::fnv1a(bytes);
-}
-
-std::uint64_t
 fingerprint(const Request &req)
 {
-    return fnv1a(canonicalText(req));
+    return cache::fnv1a(canonicalText(req));
 }
 
 Reply
@@ -436,6 +430,60 @@ Reply::fromJson(const std::string &json)
     return r;
 }
 
+namespace {
+
+/** Longest frame header line either reader accepts (bytes). */
+constexpr std::size_t kMaxHeaderBytes = 64;
+
+/**
+ * The one frame-header grammar, shared by readFrame() and
+ * FrameDecoder: exactly "tts-frame " followed by one or more ASCII
+ * decimal digits, at most kMaxHeaderBytes in all, the value within
+ * 64 bits.  No sign, no spaces.
+ *
+ * @return True with *len set; false with *err filled in as an
+ *         unrecoverable malformed frame.
+ */
+bool
+parseFrameHeader(const std::string &header, unsigned long long *len,
+                 FrameResult *err)
+{
+    auto reject = [err](std::string diagnostic) {
+        err->status = FrameStatus::Malformed;
+        err->payload.clear();
+        err->diagnostic = std::move(diagnostic);
+        err->recoverable = false;
+        return false;
+    };
+    if (header.size() > kMaxHeaderBytes)
+        return reject("frame: header line exceeds " +
+                      std::to_string(kMaxHeaderBytes) + " bytes");
+    const std::string tag = "tts-frame ";
+    if (header.compare(0, tag.size(), tag) != 0)
+        return reject("frame: bad header (expected 'tts-frame "
+                      "<length>')");
+    const std::string digits = header.substr(tag.size());
+    const unsigned long long max =
+        std::numeric_limits<unsigned long long>::max();
+    unsigned long long value = 0;
+    bool ok = !digits.empty();
+    for (char ch : digits) {
+        const auto d = static_cast<unsigned char>(ch - '0');
+        if (d > 9 || value > (max - d) / 10) {
+            ok = false;
+            break;
+        }
+        value = value * 10 + d;
+    }
+    if (!ok)
+        return reject("frame: bad length '" + digits +
+                      "' in header");
+    *len = value;
+    return true;
+}
+
+} // namespace
+
 void
 writeFrame(std::ostream &out, const std::string &payload,
            const FrameLimits &limits)
@@ -453,38 +501,21 @@ FrameResult
 readFrame(std::istream &in, const FrameLimits &limits)
 {
     FrameResult r;
+    // Read the header line, stopping one byte past the cap so an
+    // endless newline-free preamble is never buffered in full.
     std::string header;
-    if (!std::getline(in, header)) {
+    int c = 0;
+    while (header.size() <= kMaxHeaderBytes &&
+           (c = in.get()) != std::istream::traits_type::eof() &&
+           c != '\n')
+        header.push_back(static_cast<char>(c));
+    if (header.empty() && c == std::istream::traits_type::eof()) {
         r.status = FrameStatus::Eof;
         return r;
     }
-    const std::string tag = "tts-frame ";
-    if (header.rfind(tag, 0) != 0) {
-        r.status = FrameStatus::Malformed;
-        r.diagnostic = "frame: bad header (expected 'tts-frame "
-                       "<length>')";
-        r.recoverable = false;
-        return r;
-    }
-    const std::string len_text = header.substr(tag.size());
-    std::size_t used = 0;
     unsigned long long len = 0;
-    bool len_ok = !len_text.empty();
-    if (len_ok) {
-        try {
-            len = std::stoull(len_text, &used);
-            len_ok = used == len_text.size();
-        } catch (const std::exception &) {
-            len_ok = false;
-        }
-    }
-    if (!len_ok) {
-        r.status = FrameStatus::Malformed;
-        r.diagnostic =
-            "frame: bad length '" + len_text + "' in header";
-        r.recoverable = false;
+    if (!parseFrameHeader(header, &len, &r))
         return r;
-    }
     if (len > limits.maxPayloadBytes) {
         // Drain the declared payload so the next frame still lines
         // up; a stream too short to drain is unrecoverable anyway.
@@ -551,7 +582,6 @@ FrameDecoder::compact()
 bool
 FrameDecoder::next(FrameResult *out)
 {
-    static constexpr std::size_t kMaxHeaderBytes = 64;
     for (;;) {
         switch (state_) {
         case State::Poisoned:
@@ -559,59 +589,23 @@ FrameDecoder::next(FrameResult *out)
             return true;
         case State::Header: {
             const std::size_t nl = buf_.find('\n', pos_);
-            if (nl == std::string::npos) {
-                if (buf_.size() - pos_ > kMaxHeaderBytes) {
-                    poison_.status = FrameStatus::Malformed;
-                    poison_.diagnostic =
-                        "frame: header line exceeds " +
-                        std::to_string(kMaxHeaderBytes) + " bytes";
-                    poison_.recoverable = false;
-                    state_ = State::Poisoned;
-                    continue;
-                }
-                return false;
+            const std::size_t line =
+                (nl == std::string::npos ? buf_.size() : nl) - pos_;
+            if (nl == std::string::npos && line <= kMaxHeaderBytes)
+                return false; // The header line is still arriving.
+            unsigned long long len = 0;
+            if (!parseFrameHeader(
+                    buf_.substr(pos_,
+                                std::min(line, kMaxHeaderBytes + 1)),
+                    &len, &poison_)) {
+                state_ = State::Poisoned;
+                continue;
             }
-            const std::string header =
-                buf_.substr(pos_, nl - pos_);
             pos_ = nl + 1;
             compact();
-            const std::string tag = "tts-frame ";
-            if (header.rfind(tag, 0) != 0) {
-                poison_.status = FrameStatus::Malformed;
-                poison_.diagnostic =
-                    "frame: bad header (expected 'tts-frame "
-                    "<length>')";
-                poison_.recoverable = false;
-                state_ = State::Poisoned;
-                continue;
-            }
-            const std::string len_text = header.substr(tag.size());
-            std::size_t used = 0;
-            unsigned long long len = 0;
-            bool len_ok = !len_text.empty();
-            if (len_ok) {
-                try {
-                    len = std::stoull(len_text, &used);
-                    len_ok = used == len_text.size();
-                } catch (const std::exception &) {
-                    len_ok = false;
-                }
-            }
-            if (!len_ok) {
-                poison_.status = FrameStatus::Malformed;
-                poison_.diagnostic =
-                    "frame: bad length '" + len_text +
-                    "' in header";
-                poison_.recoverable = false;
-                state_ = State::Poisoned;
-                continue;
-            }
             want_ = static_cast<std::size_t>(len);
-            if (len > limits_.maxPayloadBytes) {
-                state_ = State::Drain;
-                continue;
-            }
-            state_ = State::Payload;
+            state_ = len > limits_.maxPayloadBytes ? State::Drain
+                                                   : State::Payload;
             continue;
         }
         case State::Payload:

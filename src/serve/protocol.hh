@@ -12,13 +12,15 @@
  *     <payload bytes>
  *
  * The framing layer is the daemon's first line of defense: a frame
- * header that is not exactly the form above, a length over the
- * configured limit, or a payload the stream cannot deliver in full
- * is reported as a typed malformed-frame condition - never an
- * exception out of the read loop, and never a partial payload
- * handed to the parser.  An oversized frame whose header parsed
- * cleanly is drained from the stream so the connection stays in
- * sync and later frames still get answers.
+ * header that is not exactly the form above (the length is ASCII
+ * decimal digits only - no sign, no spaces - and the whole header
+ * line is at most 64 bytes), a length over the configured limit, or
+ * a payload the stream cannot deliver in full is reported as a
+ * typed malformed-frame condition - never an exception out of the
+ * read loop, and never a partial payload handed to the parser.  An
+ * oversized frame whose header parsed cleanly is drained from the
+ * stream so the connection stays in sync and later frames still get
+ * answers.
  *
  * Replies reuse the same JSON dialect and framing.  A success reply
  * carries the envelope keys `status` ("ok"), `cache_hit`,
@@ -193,9 +195,6 @@ std::string canonicalText(const Request &req);
 /** @return FNV-1a (64-bit) over canonicalText(req). */
 std::uint64_t fingerprint(const Request &req);
 
-/** FNV-1a 64-bit over raw bytes (exposed for the cache tests). */
-std::uint64_t fnv1a(const std::string &bytes);
-
 /** Flat result payload (golden-key style dotted metric names). */
 using Result = std::map<std::string, double>;
 
@@ -274,15 +273,12 @@ FrameResult readFrame(std::istream &in,
 /**
  * Incremental frame decoder for non-blocking byte sources (the
  * session mux feeds it whatever read() returned).  Mirrors
- * readFrame() exactly - same header grammar, same limits, same
- * diagnostics, same oversized-drain resynchronization - but never
- * blocks: next() yields a frame only once its bytes have all been
- * fed.
- *
- * Additional hardening over the stream reader: a header line is
- * capped at 64 bytes (the longest legal header is far shorter), so
- * a client dribbling an endless newline-free preamble is cut off
- * with a typed malformed frame instead of growing a buffer forever.
+ * readFrame() - the same header check, the same limits, the same
+ * oversized-drain resynchronization - but never blocks: next()
+ * yields a frame only once its bytes have all been fed.  Like the
+ * stream reader, it cuts a client dribbling an endless
+ * newline-free preamble off at the 64-byte header cap with a typed
+ * malformed frame instead of growing a buffer forever.
  */
 class FrameDecoder
 {

@@ -1,36 +1,16 @@
 /**
  * @file
- * Unified-store tests: the serve-facing aliases are the tts::cache
- * types (one cache, not two copies), and the store composes with
- * the shared fingerprint so callers can key on fnv1a(canonical)
- * without any serve headers.
+ * Unified-store tests: the store composes with the shared
+ * fingerprint so callers can key on fnv1a(canonical) without any
+ * serve headers.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <type_traits>
 
 #include "cache/fingerprint.hh"
 #include "cache/result_cache.hh"
-#include "serve/cache.hh"
-
-namespace tts {
-
-// The serve names are aliases of the unified types, not parallel
-// definitions: a daemon cache and an opt memo built from either
-// header share one implementation and one snapshot format.
-static_assert(std::is_same<serve::ResultCache,
-                           cache::ResultCache>::value,
-              "serve::ResultCache must alias tts::cache");
-static_assert(std::is_same<serve::CacheConfig,
-                           cache::CacheConfig>::value,
-              "serve::CacheConfig must alias tts::cache");
-static_assert(std::is_same<serve::CacheLoadOutcome,
-                           cache::CacheLoadOutcome>::value,
-              "serve::CacheLoadOutcome must alias tts::cache");
-
-} // namespace tts
 
 using namespace tts;
 

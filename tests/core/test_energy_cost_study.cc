@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/energy_cost_study.hh"
+#include "datacenter/datacenter.hh"
+#include "plant/study.hh"
 #include "util/error.hh"
 #include "util/units.hh"
 #include "workload/google_trace.hh"
@@ -76,8 +78,8 @@ TEST_F(EnergyCostFixture, FlatTariffRemovesTheSaving)
     // With equal peak/off-peak prices and a flat COP, time shifting
     // cannot change the bill (energy is conserved over the cycle).
     EnergyCostOptions opts;
-    opts.tariff.peakPricePerKWh = 0.10;
-    opts.tariff.offPeakPricePerKWh = 0.10;
+    opts.tuning.tariff.peakPricePerKWh = 0.10;
+    opts.tuning.tariff.offPeakPricePerKWh = 0.10;
     auto r = priceCoolingEnergy(*study_, opts);
     EXPECT_NEAR(r.flatSaving(), 0.0,
                 0.005 * r.flatCostNoWax);
@@ -86,11 +88,44 @@ TEST_F(EnergyCostFixture, FlatTariffRemovesTheSaving)
 TEST_F(EnergyCostFixture, RejectsBadOptions)
 {
     EnergyCostOptions opts;
-    opts.flatCop = 0.0;
+    opts.tuning.cracCop = 0.0;
     EXPECT_THROW(priceCoolingEnergy(*study_, opts), FatalError);
     opts = EnergyCostOptions{};
     opts.clusters = 0;
     EXPECT_THROW(priceCoolingEnergy(*study_, opts), FatalError);
+}
+
+TEST(EnergyCostPin, Rd330CostsAreTheRunPlantYearlyNetCosts)
+{
+    // The RD330 row of bench/extension_energy_cost: each reported
+    // cost must be plant::runPlant's yearly net cost bit for bit,
+    // so the study prices cooling through the one plant model.
+    const server::ServerSpec spec = server::rd330Spec();
+    const CoolingStudyResult study =
+        runCoolingStudy(spec, workload::makeGoogleTrace());
+    EnergyCostOptions opts;
+    opts.clusters = datacenter::Datacenter(spec).clusterCount();
+    const EnergyCostResult cost = priceCoolingEnergy(study, opts);
+
+    auto plantCost = [&](plant::BackendKind kind,
+                         const TimeSeries &cluster_load) {
+        plant::PlantScenario scenario;
+        scenario.loadW = cluster_load.scaled(
+            static_cast<double>(opts.clusters));
+        plant::PlantConfig config;
+        config.options.kind = kind;
+        return plant::runPlant(scenario, config).yearlyNetCostUsd;
+    };
+    const TimeSeries &base = study.baseline.coolingLoadW;
+    const TimeSeries &wax = study.withWax.coolingLoadW;
+    EXPECT_EQ(cost.flatCostNoWax,
+              plantCost(plant::BackendKind::Crac, base));
+    EXPECT_EQ(cost.flatCostWithWax,
+              plantCost(plant::BackendKind::Crac, wax));
+    EXPECT_EQ(cost.economizerCostNoWax,
+              plantCost(plant::BackendKind::Economizer, base));
+    EXPECT_EQ(cost.economizerCostWithWax,
+              plantCost(plant::BackendKind::Economizer, wax));
 }
 
 } // namespace

@@ -114,36 +114,6 @@ TEST(CoolingSystem, EnergyCostCombinesCopAndTariff)
                 0.01 * expected);
 }
 
-TEST(PueSeries, ComputesRatio)
-{
-    TimeSeries it("it"), cool("cool");
-    it.append(0.0, 100000.0);
-    it.append(100.0, 200000.0);
-    cool.append(0.0, 30000.0);
-    cool.append(100.0, 50000.0);
-    auto pue = pueSeries(it, cool);
-    EXPECT_NEAR(pue.at(0.0), 1.3, 1e-12);
-    EXPECT_NEAR(pue.at(100.0), 1.25, 1e-12);
-    EXPECT_EQ(pue.name(), "pue");
-}
-
-TEST(PueSeries, AlwaysAtLeastOne)
-{
-    TimeSeries it("it"), cool("cool");
-    it.append(0.0, 100.0);
-    it.append(10.0, 100.0);
-    cool.append(0.0, 0.0);
-    cool.append(10.0, 0.0);
-    auto pue = pueSeries(it, cool);
-    EXPECT_DOUBLE_EQ(pue.min(), 1.0);
-}
-
-TEST(PueSeries, RejectsEmptyInput)
-{
-    TimeSeries it("it"), cool("cool");
-    EXPECT_THROW(pueSeries(it, cool), FatalError);
-}
-
 TEST(CoolingSystem, RejectsBadArguments)
 {
     EXPECT_THROW(CoolingSystem(0.0), FatalError);

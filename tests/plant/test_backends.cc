@@ -31,6 +31,18 @@ stepAt(double t_s, double load_w)
     return s;
 }
 
+/** Two days of a diurnal sinusoid around 50 kW, every 15 min. */
+PlantScenario
+sinusoidScenario()
+{
+    PlantScenario scenario;
+    for (double h = 0.0; h <= 48.0; h += 0.25)
+        scenario.loadW.append(units::hours(h),
+                              50000.0 + 20000.0 *
+                                  std::sin(h * 2.0 * M_PI / 24.0));
+    return scenario;
+}
+
 TEST(CracBackend, ElectricMatchesCoolingSystemExactly)
 {
     PlantTuning tuning;
@@ -71,11 +83,7 @@ TEST(CracBackend, RunCostMatchesCoolingSystemEnergyCost)
     // The adapter-equivalence bar: a whole plant run priced under
     // the default backend must reproduce CoolingSystem::energyCost
     // bit for bit (same samples, same trapezoid, same tariff).
-    PlantScenario scenario;
-    for (double h = 0.0; h <= 48.0; h += 0.25)
-        scenario.loadW.append(units::hours(h),
-                              50000.0 + 20000.0 *
-                                  std::sin(h * 2.0 * M_PI / 24.0));
+    const PlantScenario scenario = sinusoidScenario();
     PlantConfig config;
     auto r = runPlant(scenario, config);
     ASSERT_TRUE(r.finished);
@@ -94,6 +102,30 @@ TEST(CracBackend, RunCostMatchesCoolingSystemEnergyCost)
         EXPECT_EQ(r.electricW.values()[i],
                   legacy_series.values()[i]);
     }
+}
+
+TEST(CracBackend, AdapterDeltaDetectsAOneUlpCopChange)
+{
+    // The plant.adapter.cost_delta_usd = 0 golden must be able to
+    // fail: the same yearly delta, with the reference plant's COP
+    // raised by one ulp, is nonzero.
+    const PlantScenario scenario = sinusoidScenario();
+    PlantConfig config;
+    const PlantResult r = runPlant(scenario, config);
+    ASSERT_TRUE(r.finished);
+    const double span_days =
+        (scenario.loadW.endTime() - scenario.loadW.startTime()) /
+        86400.0;
+    auto delta = [&](double cop) {
+        datacenter::CoolingSystem legacy(1e9, cop);
+        double legacy_yearly =
+            legacy.energyCost(scenario.loadW, config.tuning.tariff) *
+            365.25 / span_days;
+        return std::abs(r.yearlyNetCostUsd - legacy_yearly);
+    };
+    const double cop = config.tuning.cracCop;
+    EXPECT_EQ(delta(cop), 0.0);
+    EXPECT_GT(delta(std::nextafter(cop, 2.0 * cop)), 0.0);
 }
 
 TEST(HotWaterBackend, CapturesEffectivenessFraction)

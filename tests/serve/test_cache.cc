@@ -12,12 +12,15 @@
 #include <sstream>
 #include <string>
 
-#include "serve/cache.hh"
+#include "cache/result_cache.hh"
 #include "serve/protocol.hh"
 #include "util/error.hh"
 
 using namespace tts;
 using namespace tts::serve;
+using tts::cache::CacheConfig;
+using tts::cache::CacheLoadOutcome;
+using tts::cache::ResultCache;
 
 namespace {
 

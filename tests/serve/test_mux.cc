@@ -173,7 +173,11 @@ TEST(ServeMux, SingleSessionRoundTripsInOrder)
 
 TEST(ServeMux, MalformedFramesGetTypedRepliesInTheirSlots)
 {
-    Daemon daemon(DaemonConfig{});
+    // One worker evaluates in arrival order, so the first copy of
+    // the repeated document always leads and the second is a hit.
+    DaemonConfig config;
+    config.workers = 1;
+    Daemon daemon(config);
     MuxOptions options;
     options.exitAfterSessions = 1;
     options.limits.maxPayloadBytes = 1024;

@@ -14,6 +14,7 @@
 #include <streambuf>
 #include <thread>
 
+#include "cache/fingerprint.hh"
 #include "serve/protocol.hh"
 #include "util/error.hh"
 
@@ -274,8 +275,8 @@ TEST(ServeProtocol, Fnv1aMatchesTheReferenceVectors)
 {
     // Offset basis and the classic "a" test vector for 64-bit
     // FNV-1a; getting either wrong silently re-keys every cache.
-    EXPECT_EQ(fnv1a(""), 14695981039346656037ull);
-    EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(cache::fnv1a(""), 14695981039346656037ull);
+    EXPECT_EQ(cache::fnv1a("a"), 0xaf63dc4c8601ec8cull);
 }
 
 // Fuzz-style corpus: every malformed request a hostile or buggy
@@ -406,8 +407,8 @@ TEST(ServeProtocol, NonDottedResultKeyIsAnInvariantViolation)
 TEST(ServeFraming, RoundTripsArbitraryPayloadBytes)
 {
     std::stringstream s;
-    const std::string payload =
-        std::string("line one\nline two\n\x00\x01\xfe binary", 31);
+    const char raw[] = "line one\nline two\n\x00\x01\xfe binary";
+    const std::string payload(raw, sizeof(raw) - 1);
     writeFrame(s, payload);
     writeFrame(s, "");
     writeFrame(s, "{\"study\": \"cooling\"}");
@@ -497,6 +498,95 @@ TEST(ServeFraming, PayloadExactlyAtTheLimitIsAccepted)
     writeFrame(s, "12345678", limits);
     EXPECT_EQ(readFrame(s, limits).status, FrameStatus::Ok);
     EXPECT_THROW(writeFrame(s, "123456789", limits), FatalError);
+}
+
+namespace {
+
+/** @return @p payload framed by writeFrame(). */
+std::string
+framed(const std::string &payload)
+{
+    std::ostringstream out;
+    writeFrame(out, payload);
+    return out.str();
+}
+
+/**
+ * Expect readFrame() and FrameDecoder to refuse the first header of
+ * @p wire outright - unrecoverable, with the same diagnostic
+ * containing @p why - rather than read a length from it.
+ */
+void
+expectHeaderRejected(const std::string &wire, const std::string &why)
+{
+    std::istringstream in(wire);
+    const FrameResult stream = readFrame(in);
+    EXPECT_EQ(stream.status, FrameStatus::Malformed) << wire;
+    EXPECT_FALSE(stream.recoverable) << wire;
+    EXPECT_NE(stream.diagnostic.find(why), std::string::npos)
+        << stream.diagnostic;
+
+    FrameDecoder decoder;
+    decoder.feed(wire.data(), wire.size());
+    FrameResult fed;
+    ASSERT_TRUE(decoder.next(&fed)) << wire;
+    EXPECT_EQ(fed.status, FrameStatus::Malformed) << wire;
+    EXPECT_FALSE(fed.recoverable) << wire;
+    EXPECT_EQ(fed.diagnostic, stream.diagnostic);
+}
+
+} // namespace
+
+TEST(ServeFraming, SignedLengthsAreRejectedByBothReaders)
+{
+    // A lenient integer parse reads "-1" as 2^64 - 1, and the
+    // decoder then drains every later frame as oversized payload.
+    for (const char *header : {"tts-frame -1\n", "tts-frame +5\n"})
+        expectHeaderRejected(header + framed("hello"), "bad length");
+}
+
+TEST(ServeFraming, SpacesInTheLengthAreRejectedByBothReaders)
+{
+    for (const char *header :
+         {"tts-frame  5\n", "tts-frame \t5\n", "tts-frame 5 \n"})
+        expectHeaderRejected(header + framed("hello"), "bad length");
+}
+
+TEST(ServeFraming, HeadersPastTheCapAreRejectedByBothReaders)
+{
+    // Leading zeros still spell 5; only the line length differs.
+    const std::string tag = "tts-frame ";
+    const std::string at_cap = tag + std::string(53, '0') + "5\n";
+    ASSERT_EQ(at_cap.size(), 64u + 1u);
+    std::istringstream in(at_cap + "hello");
+    const FrameResult stream = readFrame(in);
+    ASSERT_EQ(stream.status, FrameStatus::Ok) << stream.diagnostic;
+    EXPECT_EQ(stream.payload, "hello");
+    FrameDecoder decoder;
+    decoder.feed(at_cap.data(), at_cap.size());
+    decoder.feed("hello", 5);
+    FrameResult fed;
+    ASSERT_TRUE(decoder.next(&fed));
+    ASSERT_EQ(fed.status, FrameStatus::Ok) << fed.diagnostic;
+    EXPECT_EQ(fed.payload, "hello");
+
+    expectHeaderRejected(tag + std::string(54, '0') + "5\n" +
+                             framed("hello"),
+                         "exceeds 64 bytes");
+}
+
+TEST(ServeFraming, StreamReaderStopsReadingAtTheHeaderCap)
+{
+    // A newline-free preamble must not be buffered in full: the
+    // reader gives up one byte past the 64-byte cap.
+    std::istringstream in("tts-frame " + std::string(100000, '1'));
+    const FrameResult r = readFrame(in);
+    EXPECT_EQ(r.status, FrameStatus::Malformed);
+    EXPECT_FALSE(r.recoverable);
+    EXPECT_NE(r.diagnostic.find("exceeds 64 bytes"),
+              std::string::npos)
+        << r.diagnostic;
+    EXPECT_EQ(in.tellg(), std::streampos(65));
 }
 
 namespace {

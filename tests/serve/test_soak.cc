@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/result_cache.hh"
 #include "serve/daemon.hh"
 #include "serve/eval.hh"
 #include "util/error.hh"
@@ -114,7 +115,7 @@ runSoak(std::size_t workers)
     config.cache.path = tempPath(
         "tts_serve_soak_w" + std::to_string(workers) + ".ckpt");
     Daemon daemon(config, plan);
-    EXPECT_EQ(daemon.cacheLoadOutcome(), CacheLoadOutcome::Fresh);
+    EXPECT_EQ(daemon.cacheLoadOutcome(), cache::CacheLoadOutcome::Fresh);
 
     // Build the hostile byte stream.  slots[k] records which pool
     // entry reply k must answer (-1 for injected garbage, whose
@@ -254,7 +255,7 @@ runSoak(std::size_t workers)
     {
         Daemon warmed(config);
         EXPECT_EQ(warmed.cacheLoadOutcome(),
-                  CacheLoadOutcome::Loaded);
+                  cache::CacheLoadOutcome::Loaded);
         const Reply r = warmed.call(pool.front());
         ASSERT_TRUE(r.ok) << r.detail;
         EXPECT_TRUE(r.cacheHit);
@@ -279,7 +280,7 @@ runSoak(std::size_t workers)
     {
         Daemon scarred(config);
         EXPECT_EQ(scarred.cacheLoadOutcome(),
-                  CacheLoadOutcome::Quarantined);
+                  cache::CacheLoadOutcome::Quarantined);
         const Reply r = scarred.call(pool.front());
         ASSERT_TRUE(r.ok) << r.detail;
         EXPECT_FALSE(r.cacheHit);

@@ -56,6 +56,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "cache/result_cache.hh"
 #include "serve/daemon.hh"
 #include "serve/manifest.hh"
 #include "serve/mux.hh"
@@ -232,7 +233,7 @@ runStdio(const DaemonFlags &flags)
 {
     serve::Daemon daemon(configOf(flags));
     if (daemon.cacheLoadOutcome() ==
-        serve::CacheLoadOutcome::Quarantined)
+        cache::CacheLoadOutcome::Quarantined)
         std::cerr << "tts_serve: cache snapshot was corrupt; "
                      "quarantined to "
                   << flags.cachePath << ".corrupt\n";
@@ -251,7 +252,7 @@ runSocket(const DaemonFlags &flags, const std::string &path,
     require(!path.empty(), "socket mode needs --socket=PATH");
     serve::Daemon daemon(configOf(flags));
     if (daemon.cacheLoadOutcome() ==
-        serve::CacheLoadOutcome::Quarantined)
+        cache::CacheLoadOutcome::Quarantined)
         std::cerr << "tts_serve: cache snapshot was corrupt; "
                      "quarantined to "
                   << flags.cachePath << ".corrupt\n";
