@@ -1,7 +1,6 @@
 #include "cache/result_cache.hh"
 
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
 #include "guard/checkpoint.hh"
@@ -49,13 +48,6 @@ fromHex(const std::string &hex)
     return out;
 }
 
-bool
-fileExists(const std::string &path)
-{
-    std::ifstream f(path);
-    return f.good();
-}
-
 } // namespace
 
 ResultCache::ResultCache(CacheConfig config)
@@ -69,7 +61,7 @@ ResultCache::ResultCache(CacheConfig config)
 CacheLoadOutcome
 ResultCache::load()
 {
-    if (config_.path.empty() || !fileExists(config_.path))
+    if (config_.path.empty() || !guard::checkpointExists(config_.path))
         return CacheLoadOutcome::Fresh;
     std::lock_guard<std::mutex> lock(mu_);
     try {

@@ -1,13 +1,12 @@
 #include "core/resilience_study.hh"
 
 #include <cmath>
-#include <fstream>
 #include <limits>
 
 #include "exec/parallel.hh"
 #include "fault/fault_injector.hh"
-#include "guard/checkpoint.hh"
 #include "guard/numerics.hh"
+#include "guard/resume.hh"
 #include "obs/obs.hh"
 #include "server/server_model.hh"
 #include "util/error.hh"
@@ -28,133 +27,34 @@ flatTrace(double util, double horizon_s)
     return t;
 }
 
-bool
-fileExists(const std::string &path)
-{
-    std::ifstream f(path);
-    return f.good();
-}
-
-void
-saveCounters(guard::CheckpointWriter &w, const std::string &key,
-             const guard::GuardCounters &c)
-{
-    w.putU64Vector(key, {c.advances, c.steps, c.audits,
-                         c.sentinelTrips, c.auditTrips, c.retries,
-                         c.fallbacks});
-    w.put(key + ".worst_residual_j", c.worstResidualJ);
-    w.put(key + ".worst_residual_t", c.worstResidualTimeS);
-}
-
-guard::GuardCounters
-restoreCounters(guard::CheckpointReader &r, const std::string &key)
-{
-    std::vector<std::uint64_t> v = r.expectU64Vector(key);
-    require(v.size() == 7, "resilience checkpoint: bad guard "
-                           "counters for " + key);
-    guard::GuardCounters c;
-    c.advances = v[0];
-    c.steps = v[1];
-    c.audits = v[2];
-    c.sentinelTrips = v[3];
-    c.auditTrips = v[4];
-    c.retries = v[5];
-    c.fallbacks = v[6];
-    c.worstResidualJ = r.expect(key + ".worst_residual_j");
-    c.worstResidualTimeS = r.expect(key + ".worst_residual_t");
-    return c;
-}
-
-void
-saveSeries(guard::CheckpointWriter &w, const std::string &key,
-           const TimeSeries &s)
-{
-    w.putVector(key + ".times", s.times());
-    w.putVector(key + ".values", s.values());
-}
-
-TimeSeries
-restoreSeries(guard::CheckpointReader &r, const std::string &key,
-              const std::string &name)
-{
-    std::vector<double> times = r.expectVector(key + ".times");
-    std::vector<double> values = r.expectVector(key + ".values");
-    require(times.size() == values.size(),
-            "resilience checkpoint: ragged series " + key);
-    TimeSeries s(name);
-    for (std::size_t i = 0; i < times.size(); ++i)
-        s.append(times[i], values[i]);
-    return s;
-}
-
 void
 saveArm(guard::CheckpointWriter &w, const ResilienceArm &a)
 {
-    saveSeries(w, "room_air", a.roomAirC);
-    saveSeries(w, "sensed_inlet", a.sensedInletC);
-    saveSeries(w, "wax_melt", a.waxMelt);
-    saveSeries(w, "throughput", a.throughputRel);
+    w.putSeries("room_air", a.roomAirC);
+    w.putSeries("sensed_inlet", a.sensedInletC);
+    w.putSeries("wax_melt", a.waxMelt);
+    w.putSeries("throughput", a.throughputRel);
     w.put("ride_through_s", a.rideThroughS);
     w.putBool("hit_limit", a.hitLimit);
     w.put("retention", a.throughputRetention);
     w.put("throttled_s", a.throttledS);
-    saveCounters(w, "guard", a.guard);
+    w.putCounters("guard", a.guard);
 }
 
 ResilienceArm
 restoreArm(guard::CheckpointReader &r)
 {
     ResilienceArm a;
-    a.roomAirC = restoreSeries(r, "room_air", "room_air_c");
-    a.sensedInletC =
-        restoreSeries(r, "sensed_inlet", "sensed_inlet_c");
-    a.waxMelt = restoreSeries(r, "wax_melt", "wax_melt");
-    a.throughputRel =
-        restoreSeries(r, "throughput", "throughput_rel");
+    a.roomAirC = r.expectSeries("room_air", "room_air_c");
+    a.sensedInletC = r.expectSeries("sensed_inlet", "sensed_inlet_c");
+    a.waxMelt = r.expectSeries("wax_melt", "wax_melt");
+    a.throughputRel = r.expectSeries("throughput", "throughput_rel");
     a.rideThroughS = r.expect("ride_through_s");
     a.hitLimit = r.expectBool("hit_limit");
     a.throughputRetention = r.expect("retention");
     a.throttledS = r.expect("throttled_s");
-    a.guard = restoreCounters(r, "guard");
+    a.guard = r.expectCounters("guard");
     return a;
-}
-
-/** Serialize one server model's evolving thermal state. */
-void
-saveServer(guard::CheckpointWriter &w, const std::string &key,
-           const server::ServerModel &m)
-{
-    w.putVector(key + ".h", m.network().enthalpies());
-    w.putBool(key + ".has_wax", m.hasWax());
-    if (m.hasWax()) {
-        pcm::PcmElement::ThermalState ts = m.wax()->thermalState();
-        w.put(key + ".wax.h", ts.enthalpyJ);
-        w.putBool(key + ".wax.freezing", ts.freezingBranch);
-        w.putBool(key + ".wax.was_melted", ts.wasMelted);
-        w.putU64(key + ".wax.cycles", ts.cycles);
-    }
-    saveCounters(w, key + ".guard", m.network().guardCounters());
-}
-
-void
-restoreServer(guard::CheckpointReader &r, const std::string &key,
-              server::ServerModel &m)
-{
-    m.network().setEnthalpies(r.expectVector(key + ".h"));
-    bool has_wax = r.expectBool(key + ".has_wax");
-    require(has_wax == m.hasWax(),
-            "resilience checkpoint: wax configuration mismatch for " +
-                key);
-    if (has_wax) {
-        pcm::PcmElement::ThermalState ts;
-        ts.enthalpyJ = r.expect(key + ".wax.h");
-        ts.freezingBranch = r.expectBool(key + ".wax.freezing");
-        ts.wasMelted = r.expectBool(key + ".wax.was_melted");
-        ts.cycles = r.expectU64(key + ".wax.cycles");
-        m.wax()->restoreThermalState(ts);
-    }
-    m.network().setGuardCounters(
-        restoreCounters(r, key + ".guard"));
 }
 
 /**
@@ -309,30 +209,11 @@ class ThermalArmSim
         w.put("t", t_);
         w.putBool("throttled", throttled_);
         w.put("work_integral", work_integral_);
-        saveServer(w, "srv", srv_);
-        saveServer(w, "fan_srv", fan_srv_);
+        srv_.saveThermalState(w, "srv");
+        fan_srv_.saveThermalState(w, "fan_srv");
         w.put("room.air_c", room_.airTemp());
         w.put("room.mass_c", room_.massTemp());
-        fault::FaultInjector::State st = inj_.state();
-        w.putU64("inj.next", st.next);
-        w.put("inj.now", st.now);
-        std::vector<std::uint64_t> bits;
-        for (bool b : st.serverDown)
-            bits.push_back(b ? 1 : 0);
-        w.putU64Vector("inj.server_down", bits);
-        bits.clear();
-        for (bool b : st.fanFailed)
-            bits.push_back(b ? 1 : 0);
-        w.putU64Vector("inj.fan_failed", bits);
-        w.putU64("inj.alive", st.aliveCount);
-        w.put("inj.cooling_lost", st.coolingLostFraction);
-        w.put("inj.sensor_bias_c", st.sensorBiasC);
-        w.putBool("inj.sensor_valid", st.sensorValid);
-        w.put("inj.held_reading_c", st.heldReadingC);
-        w.putI64("inj.gap_depth", st.traceGapDepth);
-        w.putBool("inj.pump_failed", st.pumpFailed);
-        w.put("inj.hx_fouling", st.hxFoulingFraction);
-        w.putI64("inj.weather_gap_depth", st.weatherGapDepth);
+        inj_.save(w, "inj");
     }
 
     void
@@ -343,40 +224,12 @@ class ThermalArmSim
         t_ = r.expect("t");
         throttled_ = r.expectBool("throttled");
         work_integral_ = r.expect("work_integral");
-        restoreServer(r, "srv", srv_);
-        restoreServer(r, "fan_srv", fan_srv_);
+        srv_.restoreThermalState(r, "srv");
+        fan_srv_.restoreThermalState(r, "fan_srv");
         double air = r.expect("room.air_c");
         double mass = r.expect("room.mass_c");
         room_.setState(air, mass);
-        fault::FaultInjector::State st = inj_.state();
-        st.next = static_cast<std::size_t>(r.expectU64("inj.next"));
-        st.now = r.expect("inj.now");
-        std::vector<std::uint64_t> bits =
-            r.expectU64Vector("inj.server_down");
-        require(bits.size() == st.serverDown.size(),
-                "resilience checkpoint: injector population "
-                "mismatch");
-        for (std::size_t i = 0; i < bits.size(); ++i)
-            st.serverDown[i] = bits[i] != 0;
-        bits = r.expectU64Vector("inj.fan_failed");
-        require(bits.size() == st.fanFailed.size(),
-                "resilience checkpoint: injector population "
-                "mismatch");
-        for (std::size_t i = 0; i < bits.size(); ++i)
-            st.fanFailed[i] = bits[i] != 0;
-        st.aliveCount = static_cast<std::size_t>(
-            r.expectU64("inj.alive"));
-        st.coolingLostFraction = r.expect("inj.cooling_lost");
-        st.sensorBiasC = r.expect("inj.sensor_bias_c");
-        st.sensorValid = r.expectBool("inj.sensor_valid");
-        st.heldReadingC = r.expect("inj.held_reading_c");
-        st.traceGapDepth = static_cast<int>(
-            r.expectI64("inj.gap_depth"));
-        st.pumpFailed = r.expectBool("inj.pump_failed");
-        st.hxFoulingFraction = r.expect("inj.hx_fouling");
-        st.weatherGapDepth = static_cast<int>(
-            r.expectI64("inj.weather_gap_depth"));
-        inj_.restoreState(st);
+        inj_.restore(r, "inj");
         done_ = false;
     }
 
@@ -404,7 +257,7 @@ class ThermalArmSim
 } // namespace
 
 /** Phase machine: no-wax arm -> with-wax arm -> cluster -> done. */
-struct ResilienceRunner::Impl
+struct ResilienceRunner::Impl : guard::Resumable
 {
     enum Phase
     {
@@ -458,12 +311,14 @@ struct ResilienceRunner::Impl
                       -1);
     }
 
+    bool done() const override { return phase == kDone; }
+
     /**
      * Advance one slice: a single thermal step, or up to chunk_s of
      * cluster events.  @return Simulated seconds advanced.
      */
     double
-    advanceOnce(double chunk_s)
+    advance(double chunk_s) override
     {
         if (phase == kArmNoWax || phase == kArmWithWax) {
             double d = arm->step();
@@ -501,10 +356,9 @@ struct ResilienceRunner::Impl
     }
 
     void
-    saveFile(const std::string &path) const
+    save(guard::CheckpointWriter &w) const override
     {
         obs::Scope scope("resilience.checkpoint_io");
-        guard::CheckpointWriter w;
         w.section("resilience");
         w.putToken("scenario", scenario.name);
         w.putI64("phase", phase);
@@ -522,22 +376,19 @@ struct ResilienceRunner::Impl
             w.put("cluster_target", cluster_target);
             engine->save(w);
         }
-        guard::writeCheckpointFile(path, w.finish());
     }
 
     void
-    restoreFile(const std::string &path)
+    restore(guard::CheckpointReader &r) override
     {
-        guard::CheckpointReader r(guard::readCheckpointFile(path),
-                                  path);
         r.expectSection("resilience");
         std::string name = r.expectToken("scenario");
-        require(name == scenario.name,
-                path + ": checkpoint is for scenario '" + name +
+        r.check(name == scenario.name, "scenario",
+                "checkpoint is for scenario '" + name +
                     "', runner is for '" + scenario.name + "'");
         int ph = static_cast<int>(r.expectI64("phase"));
-        require(ph >= kArmNoWax && ph <= kCluster,
-                path + ": bad phase in checkpoint");
+        r.check(ph >= kArmNoWax && ph <= kCluster, "phase",
+                "bad phase " + std::to_string(ph));
         phase = ph;
         if (phase >= kArmWithWax) {
             r.expectSection("arm.no_wax");
@@ -561,7 +412,6 @@ struct ResilienceRunner::Impl
             cluster_target = target;
             arm.reset();
         }
-        r.expectEnd();
     }
 };
 
@@ -588,47 +438,10 @@ ResilienceRunner::ResilienceRunner(const server::ServerSpec &spec,
 ResilienceRunner::~ResilienceRunner() = default;
 
 bool
-ResilienceRunner::run(const CheckpointPolicy &policy)
+ResilienceRunner::run(const guard::CheckpointPolicy &policy)
 {
     invariant(!impl_->taken, "ResilienceRunner::run: after take()");
-    const bool journaled = !policy.path.empty();
-    require(!journaled || policy.checkpointEveryS > 0.0,
-            "ResilienceRunner: checkpointEveryS must be > 0");
-    if (journaled && fileExists(policy.path)) {
-        impl_->restoreFile(policy.path);
-        TTS_OBS_EVENT(obs::EventKind::CheckpointRestore, 0.0,
-                      impl_->scenario.name, 0.0, impl_->phase);
-    }
-
-    const double chunk =
-        policy.checkpointEveryS > 0.0 ? policy.checkpointEveryS
-                                      : 900.0;
-    double advanced = 0.0;
-    double since_checkpoint = 0.0;
-    while (impl_->phase != Impl::kDone) {
-        double d = impl_->advanceOnce(chunk);
-        advanced += d;
-        since_checkpoint += d;
-        if (impl_->phase == Impl::kDone)
-            break;
-        if (policy.stopAfterS >= 0.0 && advanced >= policy.stopAfterS) {
-            if (journaled) {
-                impl_->saveFile(policy.path);
-                TTS_OBS_EVENT(obs::EventKind::CheckpointSave,
-                              advanced, impl_->scenario.name,
-                              since_checkpoint, impl_->phase);
-            }
-            return false;
-        }
-        if (journaled && since_checkpoint >= chunk) {
-            impl_->saveFile(policy.path);
-            TTS_OBS_EVENT(obs::EventKind::CheckpointSave, advanced,
-                          impl_->scenario.name, since_checkpoint,
-                          impl_->phase);
-            since_checkpoint = 0.0;
-        }
-    }
-    return true;
+    return guard::runResumable(*impl_, policy, impl_->scenario.name);
 }
 
 ResilienceResult

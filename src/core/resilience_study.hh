@@ -175,13 +175,17 @@ class ResilienceRunner
     ResilienceRunner &operator=(const ResilienceRunner &) = delete;
 
     /**
-     * Run the scenario, restoring from policy.path first when that
-     * file exists (it must describe the same scenario).
+     * Run the scenario under guard::runResumable, restoring from
+     * policy.path first when that file exists (it must describe the
+     * same scenario).
      *
      * @return True when the scenario finished; false when paused by
      *         policy.stopAfterS (state saved to policy.path).
+     * @throws FatalError when policy.path is set and
+     *         policy.checkpointEveryS <= 0.
      */
-    bool run(const CheckpointPolicy &policy = CheckpointPolicy{});
+    bool run(const guard::CheckpointPolicy &policy =
+                 guard::CheckpointPolicy{});
 
     /** Extract the result.  Call once, after run() returned true. */
     ResilienceResult take();

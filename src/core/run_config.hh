@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <string>
 
+#include "guard/resume.hh"
 #include "plant/options.hh"
 #include "server/server_model.hh"
 #include "server/server_spec.hh"
@@ -54,25 +55,6 @@ struct ObsSinks
     }
 };
 
-/** Checkpoint/resume policy for long runs (shared via RunConfig). */
-struct CheckpointPolicy
-{
-    /**
-     * Checkpoint file path; empty disables checkpointing.  When the
-     * file exists, the run restores from it and continues instead of
-     * starting over.
-     */
-    std::string path;
-    /** Simulated seconds between checkpoint writes. */
-    double checkpointEveryS = 900.0;
-    /**
-     * Pause the run after advancing this much simulated time in this
-     * call (a final checkpoint is written first); < 0 runs to
-     * completion.  Test hook simulating a killed process.
-     */
-    double stopAfterS = -1.0;
-};
-
 /** The shared study knobs.  Per-study configs embed one as `run`. */
 struct RunConfig
 {
@@ -89,8 +71,9 @@ struct RunConfig
     double waxLiters = 0.0;
     /** Observability sinks (tools; studies never read these). */
     ObsSinks obs;
-    /** Checkpoint policy (resilience runner; others ignore it). */
-    CheckpointPolicy checkpoint;
+    /** Checkpoint policy (fleet and resilience runners; others
+     *  ignore it). */
+    guard::CheckpointPolicy checkpoint;
     /** Cooling-plant backend selection (default: CRAC adapter,
      *  which prices exactly like datacenter::CoolingSystem). */
     plant::PlantOptions plant;

@@ -1,7 +1,6 @@
 #include "exec/sweep_resume.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <mutex>
 
 #include "exec/parallel.hh"
@@ -12,13 +11,6 @@ namespace tts {
 namespace exec {
 
 namespace {
-
-bool
-fileExists(const std::string &path)
-{
-    std::ifstream f(path);
-    return f.good();
-}
 
 /** Serialize the journal: task count + every completed row. */
 std::string
@@ -84,7 +76,7 @@ checkpointedMap(
     state.done.assign(n, false);
 
     const bool journaled = !options.path.empty();
-    if (journaled && fileExists(options.path))
+    if (journaled && guard::checkpointExists(options.path))
         loadJournal(options.path, n, state);
 
     // Pending tasks in ascending index order, so a capped (killed)

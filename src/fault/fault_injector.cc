@@ -171,5 +171,72 @@ FaultInjector::senseInlet(double true_inlet_c)
     return held_reading_c_;
 }
 
+namespace {
+
+std::vector<std::uint64_t>
+bitsOf(const std::vector<bool> &flags)
+{
+    return std::vector<std::uint64_t>(flags.begin(), flags.end());
+}
+
+/** Restore a per-server flag vector, keeping its population. */
+void
+restoreBits(guard::CheckpointReader &r, const std::string &key,
+            std::vector<bool> &flags)
+{
+    std::vector<std::uint64_t> bits = r.expectU64Vector(key);
+    r.check(bits.size() == flags.size(), key,
+            "population " + std::to_string(bits.size()) +
+                ", injector has " + std::to_string(flags.size()));
+    for (std::size_t i = 0; i < bits.size(); ++i)
+        flags[i] = bits[i] != 0;
+}
+
+} // namespace
+
+void
+FaultInjector::save(guard::CheckpointWriter &w,
+                    const std::string &key) const
+{
+    w.putU64(key + ".next", next_);
+    w.put(key + ".now", now_);
+    w.putU64Vector(key + ".server_down", bitsOf(server_down_));
+    w.putU64Vector(key + ".fan_failed", bitsOf(fan_failed_));
+    w.putU64(key + ".alive", alive_count_);
+    w.put(key + ".cooling_lost", cooling_lost_fraction_);
+    w.put(key + ".sensor_bias_c", sensor_bias_c_);
+    w.putBool(key + ".sensor_valid", sensor_valid_);
+    w.put(key + ".held_reading_c", held_reading_c_);
+    w.putI64(key + ".gap_depth", trace_gap_depth_);
+    w.putBool(key + ".pump_failed", pump_failed_);
+    w.put(key + ".hx_fouling", hx_fouling_fraction_);
+    w.putI64(key + ".weather_gap_depth", weather_gap_depth_);
+}
+
+void
+FaultInjector::restore(guard::CheckpointReader &r,
+                       const std::string &key)
+{
+    next_ = static_cast<std::size_t>(r.expectU64(key + ".next"));
+    r.check(next_ <= schedule_.events().size(), key + ".next",
+            "cursor past the " +
+                std::to_string(schedule_.events().size()) +
+                "-event schedule");
+    now_ = r.expect(key + ".now");
+    restoreBits(r, key + ".server_down", server_down_);
+    restoreBits(r, key + ".fan_failed", fan_failed_);
+    alive_count_ = static_cast<std::size_t>(r.expectU64(key + ".alive"));
+    cooling_lost_fraction_ = r.expect(key + ".cooling_lost");
+    sensor_bias_c_ = r.expect(key + ".sensor_bias_c");
+    sensor_valid_ = r.expectBool(key + ".sensor_valid");
+    held_reading_c_ = r.expect(key + ".held_reading_c");
+    trace_gap_depth_ =
+        static_cast<int>(r.expectI64(key + ".gap_depth"));
+    pump_failed_ = r.expectBool(key + ".pump_failed");
+    hx_fouling_fraction_ = r.expect(key + ".hx_fouling");
+    weather_gap_depth_ =
+        static_cast<int>(r.expectI64(key + ".weather_gap_depth"));
+}
+
 } // namespace fault
 } // namespace tts

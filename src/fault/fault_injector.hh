@@ -18,9 +18,11 @@
 #define TTS_FAULT_FAULT_INJECTOR_HH
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "fault/fault_schedule.hh"
+#include "guard/checkpoint.hh"
 
 namespace tts {
 namespace fault {
@@ -103,60 +105,21 @@ class FaultInjector
     std::size_t eventsApplied() const { return next_; }
 
     /**
-     * Complete mutable replay state for checkpointing: the schedule
-     * cursor plus every piece of degraded-component state, so a
-     * restored injector resumes the replay bit-identically.  The
-     * schedule itself is configuration and is not captured.
+     * Checkpoint the complete mutable replay state under "<key>.*":
+     * the schedule cursor plus every piece of degraded-component
+     * state, so a restored injector resumes the replay
+     * bit-identically.  The schedule itself is configuration and is
+     * not captured.
      */
-    struct State
-    {
-        std::size_t next;               //!< Schedule cursor.
-        double now;                     //!< Last advanceTo() time.
-        std::vector<bool> serverDown;
-        std::vector<bool> fanFailed;
-        std::size_t aliveCount;
-        double coolingLostFraction;
-        double sensorBiasC;
-        bool sensorValid;
-        double heldReadingC;
-        int traceGapDepth;
-        bool pumpFailed;
-        double hxFoulingFraction;
-        int weatherGapDepth;
-    };
-
-    /** @return A snapshot of the replay state. */
-    State state() const
-    {
-        return State{next_,          now_,
-                     server_down_,   fan_failed_,
-                     alive_count_,   cooling_lost_fraction_,
-                     sensor_bias_c_, sensor_valid_,
-                     held_reading_c_, trace_gap_depth_,
-                     pump_failed_,   hx_fouling_fraction_,
-                     weather_gap_depth_};
-    }
+    void save(guard::CheckpointWriter &w, const std::string &key) const;
 
     /**
-     * Restore a snapshot taken with state(); the injector must have
-     * been built against the same schedule and server count.
+     * Restore state written by save(); the injector must have been
+     * built against the same schedule and server count.
+     * @throws FatalError naming the key of a value that does not fit
+     *         (wrong population, cursor past the schedule).
      */
-    void restoreState(const State &st)
-    {
-        next_ = st.next;
-        now_ = st.now;
-        server_down_ = st.serverDown;
-        fan_failed_ = st.fanFailed;
-        alive_count_ = st.aliveCount;
-        cooling_lost_fraction_ = st.coolingLostFraction;
-        sensor_bias_c_ = st.sensorBiasC;
-        sensor_valid_ = st.sensorValid;
-        held_reading_c_ = st.heldReadingC;
-        trace_gap_depth_ = st.traceGapDepth;
-        pump_failed_ = st.pumpFailed;
-        hx_fouling_fraction_ = st.hxFoulingFraction;
-        weather_gap_depth_ = st.weatherGapDepth;
-    }
+    void restore(guard::CheckpointReader &r, const std::string &key);
 
   private:
     void apply(const FaultEvent &event);

@@ -1,6 +1,6 @@
 #include "fleet/arena.hh"
 
-#include <cstring>
+#include <bit>
 
 #include "util/error.hh"
 
@@ -8,28 +8,9 @@ namespace tts {
 namespace fleet {
 
 std::uint64_t
-fnv1a64(const void *data, std::size_t bytes, std::uint64_t h)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-std::uint64_t
 digestDouble(std::uint64_t h, double v)
 {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    return fnv1a64(&bits, sizeof bits, h);
-}
-
-std::uint64_t
-digestU64(std::uint64_t h, std::uint64_t v)
-{
-    return fnv1a64(&v, sizeof v, h);
+    return cache::fnv1aMixU64(h, std::bit_cast<std::uint64_t>(v));
 }
 
 ArchetypeArena::ArchetypeArena(const server::ServerSpec &spec,
@@ -80,15 +61,15 @@ digestServerState(const server::ServerModel &model,
     if (model.hasWax()) {
         pcm::PcmElement::ThermalState ts = model.wax()->thermalState();
         h = digestDouble(h, ts.enthalpyJ);
-        h = digestU64(h, ts.freezingBranch ? 1 : 0);
-        h = digestU64(h, ts.wasMelted ? 1 : 0);
-        h = digestU64(h, ts.cycles);
+        h = cache::fnv1aMixU64(h, ts.freezingBranch ? 1 : 0);
+        h = cache::fnv1aMixU64(h, ts.wasMelted ? 1 : 0);
+        h = cache::fnv1aMixU64(h, ts.cycles);
     }
     h = digestDouble(h, model.utilization());
     h = digestDouble(h, model.frequency());
     h = digestDouble(h, pert.utilDelta);
     h = digestDouble(h, pert.inletDeltaC);
-    h = digestU64(h, pert.fanPinned ? 1 : 0);
+    h = cache::fnv1aMixU64(h, pert.fanPinned ? 1 : 0);
     return h;
 }
 

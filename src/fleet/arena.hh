@@ -27,21 +27,18 @@
 #include <memory>
 #include <vector>
 
+#include "cache/fingerprint.hh"
 #include "server/server_model.hh"
 #include "server/server_spec.hh"
 
 namespace tts {
 namespace fleet {
 
-/** FNV-1a 64-bit over raw bytes (digest building block). */
-std::uint64_t fnv1a64(const void *data, std::size_t bytes,
-                      std::uint64_t h = 0xcbf29ce484222325ULL);
-
-/** Fold a double's bit pattern into a digest. */
+/**
+ * Fold a double's bit pattern into a digest (cache::fnv1aMixU64 over
+ * its 8 bytes, the digest building block).
+ */
 std::uint64_t digestDouble(std::uint64_t h, double v);
-
-/** Fold a u64 into a digest. */
-std::uint64_t digestU64(std::uint64_t h, std::uint64_t v);
 
 /**
  * Persistent perturbation state of one row; the zero value means
@@ -166,7 +163,7 @@ void copyServerState(const server::ServerModel &from,
  */
 std::uint64_t digestServerState(const server::ServerModel &model,
                                 const RowPerturbState &pert,
-                                std::uint64_t h = 0xcbf29ce484222325ULL);
+                                std::uint64_t h = cache::kFnvOffsetBasis);
 
 } // namespace fleet
 } // namespace tts

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <string>
 
+#include "cache/fingerprint.hh"
 #include "exec/parallel.hh"
-#include "guard/checkpoint.hh"
 #include "obs/obs.hh"
 #include "util/error.hh"
 
@@ -15,66 +14,7 @@ namespace fleet {
 
 namespace {
 
-bool
-fileExists(const std::string &path)
-{
-    std::ifstream f(path);
-    return f.good();
-}
-
-void
-saveCounters(guard::CheckpointWriter &w, const std::string &key,
-             const guard::GuardCounters &c)
-{
-    w.putU64Vector(key, {c.advances, c.steps, c.audits,
-                         c.sentinelTrips, c.auditTrips, c.retries,
-                         c.fallbacks});
-    w.put(key + ".worst_residual_j", c.worstResidualJ);
-    w.put(key + ".worst_residual_t", c.worstResidualTimeS);
-}
-
-guard::GuardCounters
-restoreCounters(guard::CheckpointReader &r, const std::string &key)
-{
-    std::vector<std::uint64_t> v = r.expectU64Vector(key);
-    require(v.size() == 7,
-            "fleet checkpoint: bad guard counters for " + key);
-    guard::GuardCounters c;
-    c.advances = v[0];
-    c.steps = v[1];
-    c.audits = v[2];
-    c.sentinelTrips = v[3];
-    c.auditTrips = v[4];
-    c.retries = v[5];
-    c.fallbacks = v[6];
-    c.worstResidualJ = r.expect(key + ".worst_residual_j");
-    c.worstResidualTimeS = r.expect(key + ".worst_residual_t");
-    return c;
-}
-
-void
-saveSeries(guard::CheckpointWriter &w, const std::string &key,
-           const TimeSeries &s)
-{
-    w.putVector(key + ".times", s.times());
-    w.putVector(key + ".values", s.values());
-}
-
-TimeSeries
-restoreSeries(guard::CheckpointReader &r, const std::string &key,
-              const std::string &name)
-{
-    std::vector<double> times = r.expectVector(key + ".times");
-    std::vector<double> values = r.expectVector(key + ".values");
-    require(times.size() == values.size(),
-            "fleet checkpoint: ragged series " + key);
-    TimeSeries s(name);
-    for (std::size_t i = 0; i < times.size(); ++i)
-        s.append(times[i], values[i]);
-    return s;
-}
-
-/** Serialize one model's evolving state (order = restoreModel). */
+/** Serialize one model's operating point and thermal state. */
 void
 saveModel(guard::CheckpointWriter &w, const std::string &key,
           const server::ServerModel &m)
@@ -82,16 +22,7 @@ saveModel(guard::CheckpointWriter &w, const std::string &key,
     w.put(key + ".inlet", m.network().inletTemp());
     w.put(key + ".util", m.utilization());
     w.put(key + ".freq", m.frequency());
-    w.putVector(key + ".h", m.network().enthalpies());
-    w.putBool(key + ".has_wax", m.hasWax());
-    if (m.hasWax()) {
-        pcm::PcmElement::ThermalState ts = m.wax()->thermalState();
-        w.put(key + ".wax.h", ts.enthalpyJ);
-        w.putBool(key + ".wax.freezing", ts.freezingBranch);
-        w.putBool(key + ".wax.was_melted", ts.wasMelted);
-        w.putU64(key + ".wax.cycles", ts.cycles);
-    }
-    saveCounters(w, key + ".guard", m.network().guardCounters());
+    m.saveThermalState(w, key);
 }
 
 void
@@ -103,19 +34,7 @@ restoreModel(guard::CheckpointReader &r, const std::string &key,
     double freq = r.expect(key + ".freq");
     m.network().setInletTemp(inlet);
     m.setLoad(util, freq);
-    m.network().setEnthalpies(r.expectVector(key + ".h"));
-    bool has_wax = r.expectBool(key + ".has_wax");
-    require(has_wax == m.hasWax(),
-            "fleet checkpoint: wax configuration mismatch for " + key);
-    if (has_wax) {
-        pcm::PcmElement::ThermalState ts;
-        ts.enthalpyJ = r.expect(key + ".wax.h");
-        ts.freezingBranch = r.expectBool(key + ".wax.freezing");
-        ts.wasMelted = r.expectBool(key + ".wax.was_melted");
-        ts.cycles = r.expectU64(key + ".wax.cycles");
-        m.wax()->restoreThermalState(ts);
-    }
-    m.network().setGuardCounters(restoreCounters(r, key + ".guard"));
+    m.restoreThermalState(r, key);
 }
 
 } // namespace
@@ -273,12 +192,12 @@ FleetSim::waxDigest() const
     // checkpoint written under one candidate configuration cannot be
     // resumed under another (the opt engine varies exactly these
     // fields between otherwise identical fleets).
-    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::uint64_t h = cache::kFnvOffsetBasis;
     for (const auto &a : arenas_) {
         const server::WaxConfig &wax = a->wax();
-        h = digestU64(h, static_cast<std::uint64_t>(wax.mode));
+        h = cache::fnv1aMixU64(h, static_cast<std::uint64_t>(wax.mode));
         h = digestDouble(h, wax.liters);
-        h = digestU64(h, wax.boxCount);
+        h = cache::fnv1aMixU64(h, wax.boxCount);
         h = digestDouble(h, wax.meltTempC);
         h = digestDouble(h, wax.meltWindowC);
         h = digestDouble(h, wax.supercoolingC);
@@ -478,8 +397,7 @@ FleetSim::serverDigest(std::uint32_t s) const
 std::uint64_t
 FleetSim::stateDigest() const
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    h = digestDouble(h, t_);
+    std::uint64_t h = digestDouble(cache::kFnvOffsetBasis, t_);
     for (std::uint32_t s = 0;
          s < static_cast<std::uint32_t>(server_count_); ++s)
         h = digestServerState(serverView(s), serverPerturbState(s),
@@ -490,7 +408,18 @@ FleetSim::stateDigest() const
 void
 FleetSim::save(const std::string &path) const
 {
-    guard::CheckpointWriter w;
+    guard::saveCheckpoint(*this, path);
+}
+
+void
+FleetSim::restore(const std::string &path)
+{
+    guard::restoreCheckpoint(*this, path);
+}
+
+void
+FleetSim::save(guard::CheckpointWriter &w) const
+{
     w.section("fleet");
     w.putU64("server_count", server_count_);
     w.putU64("arena_count", arenas_.size());
@@ -513,9 +442,9 @@ FleetSim::save(const std::string &path) const
     w.put("cooling_energy_j", cooling_energy_j_);
     w.put("last_cooling_w", last_cooling_w_);
     w.section("series");
-    saveSeries(w, "cooling", cooling_w_);
-    saveSeries(w, "it", it_w_);
-    saveSeries(w, "melt", melt_);
+    w.putSeries("cooling", cooling_w_);
+    w.putSeries("it", it_w_);
+    w.putSeries("melt", melt_);
     for (std::size_t i = 0; i < arenas_.size(); ++i) {
         const ArchetypeArena &a = *arenas_[i];
         w.section("arena." + std::to_string(i));
@@ -537,16 +466,11 @@ FleetSim::save(const std::string &path) const
         w.putBool("fan_pinned", row.pert.fanPinned);
         saveModel(w, "m", *row.model);
     }
-    guard::writeCheckpointFile(path, w.finish());
-    TTS_OBS_EVENT(obs::EventKind::CheckpointSave, t_,
-                  "fleet.checkpoint",
-                  static_cast<double>(rows_.size()), -1);
 }
 
 void
-FleetSim::restore(const std::string &path)
+FleetSim::restore(guard::CheckpointReader &r)
 {
-    guard::CheckpointReader r(guard::readCheckpointFile(path), path);
     r.expectSection("fleet");
     require(r.expectU64("server_count") == server_count_,
             "fleet checkpoint: server count mismatch");
@@ -577,9 +501,9 @@ FleetSim::restore(const std::string &path)
     cooling_energy_j_ = r.expect("cooling_energy_j");
     last_cooling_w_ = r.expect("last_cooling_w");
     r.expectSection("series");
-    cooling_w_ = restoreSeries(r, "cooling", "fleet_cooling_w");
-    it_w_ = restoreSeries(r, "it", "fleet_it_w");
-    melt_ = restoreSeries(r, "melt", "fleet_melt_fraction");
+    cooling_w_ = r.expectSeries("cooling", "fleet_cooling_w");
+    it_w_ = r.expectSeries("it", "fleet_it_w");
+    melt_ = r.expectSeries("melt", "fleet_melt_fraction");
     for (std::size_t i = 0; i < arenas_.size(); ++i) {
         ArchetypeArena &a = *arenas_[i];
         r.expectSection("arena." + std::to_string(i));
@@ -614,43 +538,24 @@ FleetSim::restore(const std::string &path)
         std::uint32_t server = row.server;
         rows_.emplace(server, std::move(row));
     }
-    r.expectEnd();
     std::uint64_t materialized = 0;
     for (const auto &a : arenas_)
         materialized += a->materializedCount();
     require(materialized == rows_.size(),
             "fleet checkpoint: materialized-count mismatch");
     done_ = t_ >= cfg_.durationS;
-    TTS_OBS_EVENT(obs::EventKind::CheckpointRestore, t_,
-                  "fleet.checkpoint",
-                  static_cast<double>(rows_.size()), -1);
+}
+
+double
+FleetSim::advance(double)
+{
+    return step();
 }
 
 bool
-FleetSim::run(const core::CheckpointPolicy &policy)
+FleetSim::run(const guard::CheckpointPolicy &policy)
 {
-    if (!policy.path.empty() && fileExists(policy.path))
-        restore(policy.path);
-    double advanced = 0.0;
-    double last_save = t_;
-    while (!done_) {
-        advanced += step();
-        if (done_)
-            break;
-        if (!policy.path.empty() &&
-            policy.checkpointEveryS > 0.0 &&
-            t_ - last_save >= policy.checkpointEveryS) {
-            save(policy.path);
-            last_save = t_;
-        }
-        if (policy.stopAfterS >= 0.0 &&
-            advanced >= policy.stopAfterS) {
-            if (!policy.path.empty())
-                save(policy.path);
-            return false;
-        }
-    }
-    return true;
+    return guard::runResumable(*this, policy, "fleet.checkpoint");
 }
 
 FleetResult

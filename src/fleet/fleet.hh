@@ -37,6 +37,7 @@
 #include "core/run_config.hh"
 #include "fleet/arena.hh"
 #include "fleet/perturbation.hh"
+#include "guard/resume.hh"
 #include "server/server_spec.hh"
 #include "util/time_series.hh"
 #include "workload/placement.hh"
@@ -161,11 +162,11 @@ struct FleetResult
 };
 
 /**
- * The sharded fleet simulator: a resumable step machine in the
- * ResilienceRunner mold.  Construct, then either run(policy) to
- * completion / pause, or drive step() directly (tests).
+ * The sharded fleet simulator: a guard::Resumable step machine.
+ * Construct, then either run(policy) to completion / pause, or drive
+ * step() directly (tests).
  */
-class FleetSim
+class FleetSim : public guard::Resumable
 {
   public:
     /**
@@ -183,25 +184,31 @@ class FleetSim
     FleetSim &operator=(const FleetSim &) = delete;
 
     /**
-     * Run to completion, restoring from policy.path first when that
-     * file exists (it must describe the same fleet configuration).
-     * Writes a checkpoint every policy.checkpointEveryS simulated
-     * seconds when policy.path is set.
+     * Run to completion under guard::runResumable, restoring from
+     * policy.path first when that file exists (it must describe the
+     * same fleet configuration).  Writes a checkpoint every
+     * policy.checkpointEveryS simulated seconds when policy.path is
+     * set.
      *
      * @return True when the run finished; false when paused by
      *         policy.stopAfterS (state saved to policy.path).
+     * @throws FatalError when policy.path is set and
+     *         policy.checkpointEveryS <= 0.
      */
-    bool run(const core::CheckpointPolicy &policy =
-                 core::CheckpointPolicy{});
+    bool run(const guard::CheckpointPolicy &policy =
+                 guard::CheckpointPolicy{});
 
     /** Extract the result.  Call once, after the run finished. */
     FleetResult take();
 
     /** @return True when the horizon has been reached. */
-    bool done() const { return done_; }
+    bool done() const override { return done_; }
 
     /** Advance one control step.  @return Simulated seconds moved. */
     double step();
+
+    /** step(); the control interval is the fleet's own slice. */
+    double advance(double sliceS) override;
 
     /** @return Current simulated time (s). */
     double timeS() const { return t_; }
@@ -267,10 +274,15 @@ class FleetSim
     /**
      * Restore a checkpoint written by save().  The simulator must
      * have been constructed with the same configuration.
-     * @throws FatalError on CRC/format mismatch, tts::Error on a
-     *         configuration mismatch.
+     * @throws FatalError on CRC/format or configuration mismatch.
      */
     void restore(const std::string &path);
+
+    /** Serialize the full fleet state (arena baselines, rows, cursor). */
+    void save(guard::CheckpointWriter &w) const override;
+
+    /** Restore state written by save(guard::CheckpointWriter &). */
+    void restore(guard::CheckpointReader &r) override;
 
   private:
     /** Utilization at time t (trace, or the flat run value). */

@@ -1,5 +1,6 @@
 #include "guard/checkpoint.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <fstream>
@@ -107,6 +108,24 @@ CheckpointWriter::putU64Vector(const std::string &key,
     for (std::uint64_t v : values)
         body_ += " " + std::to_string(v);
     body_ += "\n";
+}
+
+void
+CheckpointWriter::putSeries(const std::string &key,
+                            const TimeSeries &series)
+{
+    putVector(key + ".times", series.times());
+    putVector(key + ".values", series.values());
+}
+
+void
+CheckpointWriter::putCounters(const std::string &key,
+                              const GuardCounters &c)
+{
+    putU64Vector(key, {c.advances, c.steps, c.audits, c.sentinelTrips,
+                       c.auditTrips, c.retries, c.fallbacks});
+    put(key + ".worst_residual_j", c.worstResidualJ);
+    put(key + ".worst_residual_t", c.worstResidualTimeS);
 }
 
 std::string
@@ -317,6 +336,53 @@ CheckpointReader::expectU64Vector(const std::string &key)
     return out;
 }
 
+TimeSeries
+CheckpointReader::expectSeries(const std::string &key,
+                               const std::string &name)
+{
+    std::vector<double> times = expectVector(key + ".times");
+    std::vector<double> values = expectVector(key + ".values");
+    check(times.size() == values.size(), key,
+          "ragged series (" + std::to_string(times.size()) +
+              " times, " + std::to_string(values.size()) + " values)");
+    auto not_after = [](double a, double b) { return !(b > a); };
+    check(std::adjacent_find(times.begin(), times.end(), not_after) ==
+              times.end(),
+          key, "times not strictly increasing");
+    TimeSeries s(name);
+    for (std::size_t i = 0; i < times.size(); ++i)
+        s.append(times[i], values[i]);
+    return s;
+}
+
+GuardCounters
+CheckpointReader::expectCounters(const std::string &key)
+{
+    std::vector<std::uint64_t> v = expectU64Vector(key);
+    check(v.size() == 7, key,
+          "guard counters need 7 entries, found " +
+              std::to_string(v.size()));
+    GuardCounters c;
+    c.advances = v[0];
+    c.steps = v[1];
+    c.audits = v[2];
+    c.sentinelTrips = v[3];
+    c.auditTrips = v[4];
+    c.retries = v[5];
+    c.fallbacks = v[6];
+    c.worstResidualJ = expect(key + ".worst_residual_j");
+    c.worstResidualTimeS = expect(key + ".worst_residual_t");
+    return c;
+}
+
+void
+CheckpointReader::check(bool ok, const std::string &key,
+                        const std::string &what) const
+{
+    if (!ok)
+        fatal(origin_ + ": key '" + key + "': " + what);
+}
+
 void
 CheckpointReader::expectEnd() const
 {
@@ -363,6 +429,12 @@ readCheckpointFile(const std::string &path)
         restores.add(1);
     }
     return buf.str();
+}
+
+bool
+checkpointExists(const std::string &path)
+{
+    return std::ifstream(path).good();
 }
 
 } // namespace guard

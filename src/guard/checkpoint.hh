@@ -23,6 +23,12 @@
  * junk) is a FatalError naming the offender.  Strictness is the
  * point — a resumed run must be bit-identical, so "close enough"
  * parsing is a bug factory.
+ *
+ * State shared by several runners has one codec: TimeSeries and
+ * GuardCounters here (putSeries/expectSeries, putCounters/
+ * expectCounters), a server's thermal state in server::ServerModel,
+ * the fault-replay cursor in fault::FaultInjector.  The run loop that
+ * decides when to restore, save and pause lives in guard/resume.hh.
  */
 
 #ifndef TTS_GUARD_CHECKPOINT_HH
@@ -31,6 +37,9 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "guard/numerics.hh"
+#include "util/time_series.hh"
 
 namespace tts {
 namespace guard {
@@ -66,6 +75,13 @@ class CheckpointWriter
     /** Write a vector of unsigned integers on one line. */
     void putU64Vector(const std::string &key,
                       const std::vector<std::uint64_t> &values);
+    /** Write a series as "<key>.times" and "<key>.values". */
+    void putSeries(const std::string &key, const TimeSeries &series);
+    /**
+     * Write guard counters: the seven counts as "<key>", then
+     * "<key>.worst_residual_j" and "<key>.worst_residual_t".
+     */
+    void putCounters(const std::string &key, const GuardCounters &c);
 
     /** @return The complete document, CRC trailer included. */
     std::string finish() const;
@@ -105,6 +121,22 @@ class CheckpointReader
     std::vector<double> expectVector(const std::string &key);
     /** Consume "<key> = <n> v0 v1 ..." of unsigned integers. */
     std::vector<std::uint64_t> expectU64Vector(const std::string &key);
+    /**
+     * Consume a series written by putSeries(); @p name names the
+     * result.  FatalError when times and values differ in length.
+     */
+    TimeSeries expectSeries(const std::string &key,
+                            const std::string &name);
+    /** Consume counters written by putCounters(). */
+    GuardCounters expectCounters(const std::string &key);
+
+    /**
+     * FatalError "<origin>: key '<key>': <what>" unless @p ok - the
+     * one message shape every state codec uses to reject a value
+     * that parsed but does not fit the model being restored.
+     */
+    void check(bool ok, const std::string &key,
+               const std::string &what) const;
 
     /** @return True if the next line is "section <name>". */
     bool peekSection(const std::string &name) const;
@@ -132,6 +164,9 @@ void writeCheckpointFile(const std::string &path,
  * @throws FatalError if the file cannot be read.
  */
 std::string readCheckpointFile(const std::string &path);
+
+/** @return True when a checkpoint file exists at @p path. */
+bool checkpointExists(const std::string &path);
 
 } // namespace guard
 } // namespace tts

@@ -96,7 +96,7 @@ oracleBase(const OptOptions &opts)
     // no checkpoints - those belong to the search's caller.
     f.recordSeries = false;
     f.run.obs = core::ObsSinks{};
-    f.run.checkpoint = core::CheckpointPolicy{};
+    f.run.checkpoint = guard::CheckpointPolicy{};
     return f;
 }
 

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "fault/fault_injector.hh"
-#include "guard/checkpoint.hh"
+#include "guard/resume.hh"
 #include "obs/obs.hh"
 #include "obs/trace.hh"
 #include "plant/weather.hh"
@@ -16,16 +15,6 @@ namespace tts {
 namespace plant {
 
 namespace {
-
-/** Checkpoint exists <=> restorable. */
-bool
-fileExists(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f)
-        std::fclose(f);
-    return f != nullptr;
-}
 
 WeatherSource
 makeWeather(const PlantConfig &config)
@@ -52,80 +41,170 @@ ambientForecast(const PlantConfig &config, const TimeSeries &load_w)
     return out;
 }
 
-/** Mutable loop state: everything a checkpoint must capture. */
-struct RunState
+/**
+ * One backend stepped over the load series, one sample per advance():
+ * everything a checkpoint must capture is a member.
+ */
+class PlantRun : public guard::Resumable
 {
-    std::size_t next = 0; //!< Next load-series sample index.
-    TimeSeries electric{"plant_electric_w"};
-    double reusedJ = 0.0;
-    double unservedJ = 0.0;
-    double shedComputeJ = 0.0;
-    double servedComputeJ = 0.0;
-    double nominalComputeJ = 0.0;
-    double dischargeJ = 0.0;
+  public:
+    PlantRun(const PlantScenario &scenario, const PlantConfig &config)
+        : load_(scenario.loadW),
+          backend_(makeBackend(config.options.kind, config.tuning)),
+          weather_(makeWeather(config)),
+          inj_(scenario.faults, scenario.serverCount)
+    {
+        backend_->setForecast(load_, ambientForecast(config, load_));
+        backend_->reset();
+    }
+
+    bool done() const override { return next_ >= load_.size(); }
+
+    /** Step one sample.  @return Seconds to the next sample. */
+    double
+    advance(double) override
+    {
+        const std::size_t i = next_;
+        const double t = load_.times()[i];
+        const double dt =
+            i + 1 < load_.size() ? load_.times()[i + 1] - t : 0.0;
+        inj_.advanceTo(t);
+
+        PlantStep in;
+        in.timeS = t;
+        in.dtS = dt;
+        in.heatLoadW = std::max(load_.values()[i], 0.0);
+        in.ambientC = weather_.at(t, inj_.weatherGapActive());
+        in.capacityFraction = inj_.coolingCapacityFraction();
+        in.pumpFailed = inj_.pumpFailed();
+        in.hxFouling = inj_.hxFoulingFraction();
+        PlantStepResult out = backend_->step(in);
+
+        electric_.append(t, out.electricW);
+        reused_j_ += out.reusedW * dt;
+        unserved_j_ += std::max(in.heatLoadW - out.servedW, 0.0) * dt;
+        shed_j_ += (1.0 - out.dvfsCap) * in.heatLoadW * dt;
+        served_j_ += out.dvfsCap * in.heatLoadW * dt;
+        nominal_j_ += in.heatLoadW * dt;
+        discharge_j_ += out.dischargedJ;
+        next_ = i + 1;
+
+        if (obs::enabled()) {
+            static obs::Counter &steps =
+                obs::registry().counter("plant.steps.total");
+            steps.add(1);
+            if (out.dvfsCap < 1.0 || out.fanLevel < 1.0 ||
+                out.dischargedJ > 0.0 || out.bufferJ > 0.0)
+                obs::emitEvent(obs::EventKind::PlantControl, t,
+                               std::string("plant.") +
+                                   backend_->name(),
+                               out.bufferJ,
+                               static_cast<std::int64_t>(
+                                   100.0 * out.dvfsCap));
+        }
+        return dt;
+    }
+
+    void
+    save(guard::CheckpointWriter &w) const override
+    {
+        w.section("plant.run");
+        w.putToken("backend", backend_->name());
+        w.putU64("next", next_);
+        w.putSeries("electric", electric_);
+        w.put("reused_j", reused_j_);
+        w.put("unserved_j", unserved_j_);
+        w.put("shed_j", shed_j_);
+        w.put("served_work_j", served_j_);
+        w.put("nominal_work_j", nominal_j_);
+        w.put("discharge_j", discharge_j_);
+        w.put("weather.held_c", weather_.heldC());
+        inj_.save(w, "inj");
+        backend_->save(w);
+    }
+
+    void
+    restore(guard::CheckpointReader &r) override
+    {
+        r.expectSection("plant.run");
+        std::string got = r.expectToken("backend");
+        r.check(got == backend_->name(), "backend",
+                "backend mismatch (checkpoint has '" + got +
+                    "', run wants '" + backend_->name() + "')");
+        next_ = static_cast<std::size_t>(r.expectU64("next"));
+        r.check(next_ <= load_.size(), "next",
+                "sample cursor past the " +
+                    std::to_string(load_.size()) + "-sample load");
+        electric_ = r.expectSeries("electric", "plant_electric_w");
+        reused_j_ = r.expect("reused_j");
+        unserved_j_ = r.expect("unserved_j");
+        shed_j_ = r.expect("shed_j");
+        served_j_ = r.expect("served_work_j");
+        nominal_j_ = r.expect("nominal_work_j");
+        discharge_j_ = r.expect("discharge_j");
+        weather_.setHeldC(r.expect("weather.held_c"));
+        inj_.restore(r, "inj");
+        backend_->restore(r);
+    }
+
+    /** Price the finished run (or report a paused one). */
+    PlantResult
+    result(const PlantScenario &scenario, const PlantConfig &config,
+           bool finished)
+    {
+        PlantResult res;
+        res.backend = backend_->name();
+        res.finished = finished;
+        res.steps = next_;
+        res.faultEventsApplied = inj_.eventsApplied();
+        res.reusedEnergyJ = reused_j_;
+        res.unservedJ = unserved_j_;
+        res.shedComputeJ = shed_j_;
+        res.bufferDischargeJ = discharge_j_;
+        res.throughputRetention =
+            nominal_j_ > 0.0 ? served_j_ / nominal_j_ : 1.0;
+        if (finished) {
+            res.electricEnergyJ = electric_.integral(
+                electric_.startTime(), electric_.endTime());
+            res.peakElectricW = electric_.max();
+            res.energyCostUsd = config.tuning.tariff.costOf(electric_);
+            res.reuseCreditUsd = config.tuning.hwReusePricePerKWh *
+                units::toKWh(reused_j_);
+            res.dvfsPenaltyUsd = config.tuning.mpcDvfsPenaltyPerKWh *
+                units::toKWh(shed_j_);
+            res.netCostUsd = res.energyCostUsd + res.dvfsPenaltyUsd -
+                res.reuseCreditUsd;
+            double span_days = scenario.spanDays > 0.0
+                ? scenario.spanDays
+                : (load_.endTime() - load_.startTime()) / 86400.0;
+            require(span_days > 0.0, "runPlant: zero-length span");
+            res.yearlyNetCostUsd = res.netCostUsd * 365.25 / span_days;
+            if (obs::enabled()) {
+                static obs::Counter &runs =
+                    obs::registry().counter("plant.runs.total");
+                runs.add(1);
+            }
+        }
+        if (config.recordSeries)
+            res.electricW = std::move(electric_);
+        return res;
+    }
+
+  private:
+    const TimeSeries &load_;
+    std::unique_ptr<CoolingBackend> backend_;
+    WeatherSource weather_;
+    fault::FaultInjector inj_;
+
+    std::size_t next_ = 0; //!< Next load-series sample index.
+    TimeSeries electric_{"plant_electric_w"};
+    double reused_j_ = 0.0;
+    double unserved_j_ = 0.0;
+    double shed_j_ = 0.0;
+    double served_j_ = 0.0;
+    double nominal_j_ = 0.0;
+    double discharge_j_ = 0.0;
 };
-
-void
-saveRun(guard::CheckpointWriter &w, const RunState &st,
-        const std::string &backend, const WeatherSource &weather,
-        const fault::FaultInjector &inj)
-{
-    w.section("plant.run");
-    w.putToken("backend", backend);
-    w.putU64("next", st.next);
-    w.putVector("electric.t", st.electric.times());
-    w.putVector("electric.v", st.electric.values());
-    w.put("reused_j", st.reusedJ);
-    w.put("unserved_j", st.unservedJ);
-    w.put("shed_j", st.shedComputeJ);
-    w.put("served_work_j", st.servedComputeJ);
-    w.put("nominal_work_j", st.nominalComputeJ);
-    w.put("discharge_j", st.dischargeJ);
-    w.put("weather.held_c", weather.heldC());
-    fault::FaultInjector::State is = inj.state();
-    w.putU64("inj.next", is.next);
-    w.put("inj.now", is.now);
-    w.put("inj.cooling_lost", is.coolingLostFraction);
-    w.putBool("inj.pump_failed", is.pumpFailed);
-    w.put("inj.hx_fouling", is.hxFoulingFraction);
-    w.putI64("inj.weather_gap_depth", is.weatherGapDepth);
-}
-
-void
-restoreRun(guard::CheckpointReader &r, RunState &st,
-           const std::string &backend, WeatherSource &weather,
-           fault::FaultInjector &inj)
-{
-    r.expectSection("plant.run");
-    std::string got = r.expectToken("backend");
-    require(got == backend,
-            "plant checkpoint: backend mismatch (checkpoint has '" +
-                got + "', run wants '" + backend + "')");
-    st.next = static_cast<std::size_t>(r.expectU64("next"));
-    std::vector<double> ts = r.expectVector("electric.t");
-    std::vector<double> vs = r.expectVector("electric.v");
-    require(ts.size() == vs.size(),
-            "plant checkpoint: electric series length mismatch");
-    st.electric = TimeSeries("plant_electric_w");
-    for (std::size_t i = 0; i < ts.size(); ++i)
-        st.electric.append(ts[i], vs[i]);
-    st.reusedJ = r.expect("reused_j");
-    st.unservedJ = r.expect("unserved_j");
-    st.shedComputeJ = r.expect("shed_j");
-    st.servedComputeJ = r.expect("served_work_j");
-    st.nominalComputeJ = r.expect("nominal_work_j");
-    st.dischargeJ = r.expect("discharge_j");
-    weather.setHeldC(r.expect("weather.held_c"));
-    fault::FaultInjector::State is = inj.state();
-    is.next = static_cast<std::size_t>(r.expectU64("inj.next"));
-    is.now = r.expect("inj.now");
-    is.coolingLostFraction = r.expect("inj.cooling_lost");
-    is.pumpFailed = r.expectBool("inj.pump_failed");
-    is.hxFoulingFraction = r.expect("inj.hx_fouling");
-    is.weatherGapDepth = static_cast<int>(
-        r.expectI64("inj.weather_gap_depth"));
-    inj.restoreState(is);
-}
 
 } // namespace
 
@@ -141,137 +220,9 @@ runPlant(const PlantScenario &scenario, const PlantConfig &config)
     require(scenario.serverCount >= 1,
             "runPlant: need at least one server");
 
-    auto backend = makeBackend(config.options.kind, config.tuning);
-    WeatherSource weather = makeWeather(config);
-    backend->setForecast(load, ambientForecast(config, load));
-    backend->reset();
-    fault::FaultInjector inj(scenario.faults, scenario.serverCount);
-
-    RunState st;
-    const PlantCheckpointPolicy &ckpt = config.checkpoint;
-    if (!ckpt.path.empty() && fileExists(ckpt.path)) {
-        guard::CheckpointReader r(
-            guard::readCheckpointFile(ckpt.path), ckpt.path);
-        restoreRun(r, st, backend->name(), weather, inj);
-        backend->restore(r);
-        r.expectEnd();
-        TTS_OBS_EVENT(obs::EventKind::CheckpointRestore,
-                      st.next ? load.times()[st.next - 1] : 0.0,
-                      "plant", static_cast<double>(st.next), -1);
-    }
-
-    const auto &times = load.times();
-    const auto &values = load.values();
-    const std::size_t n = times.size();
-    const double start_t = st.next < n ? times[st.next]
-                                       : times[n - 1];
-    double last_ckpt_t = start_t;
-    bool paused = false;
-
-    auto writeCheckpoint = [&](double now) {
-        guard::CheckpointWriter w;
-        saveRun(w, st, backend->name(), weather, inj);
-        backend->save(w);
-        guard::writeCheckpointFile(ckpt.path, w.finish());
-        TTS_OBS_EVENT(obs::EventKind::CheckpointSave, now, "plant",
-                      static_cast<double>(st.next), -1);
-        last_ckpt_t = now;
-    };
-
-    while (st.next < n) {
-        std::size_t i = st.next;
-        double t = times[i];
-        double dt = i + 1 < n ? times[i + 1] - t : 0.0;
-        inj.advanceTo(t);
-        double ambient = weather.at(t, inj.weatherGapActive());
-
-        PlantStep in;
-        in.timeS = t;
-        in.dtS = dt;
-        in.heatLoadW = std::max(values[i], 0.0);
-        in.ambientC = ambient;
-        in.capacityFraction = inj.coolingCapacityFraction();
-        in.pumpFailed = inj.pumpFailed();
-        in.hxFouling = inj.hxFoulingFraction();
-        PlantStepResult out = backend->step(in);
-
-        st.electric.append(t, out.electricW);
-        st.reusedJ += out.reusedW * dt;
-        st.unservedJ +=
-            std::max(in.heatLoadW - out.servedW, 0.0) * dt;
-        st.shedComputeJ += (1.0 - out.dvfsCap) * in.heatLoadW * dt;
-        st.servedComputeJ += out.dvfsCap * in.heatLoadW * dt;
-        st.nominalComputeJ += in.heatLoadW * dt;
-        st.dischargeJ += out.dischargedJ;
-        st.next = i + 1;
-
-        if (obs::enabled()) {
-            static obs::Counter &steps =
-                obs::registry().counter("plant.steps.total");
-            steps.add(1);
-            if (out.dvfsCap < 1.0 || out.fanLevel < 1.0 ||
-                out.dischargedJ > 0.0 || out.bufferJ > 0.0)
-                obs::emitEvent(obs::EventKind::PlantControl, t,
-                               std::string("plant.") +
-                                   backend->name(),
-                               out.bufferJ,
-                               static_cast<std::int64_t>(
-                                   100.0 * out.dvfsCap));
-        }
-
-        if (!ckpt.path.empty()) {
-            if (t - last_ckpt_t >= ckpt.checkpointEveryS)
-                writeCheckpoint(t);
-            if (ckpt.stopAfterS >= 0.0 && st.next < n &&
-                t - start_t >= ckpt.stopAfterS) {
-                writeCheckpoint(t);
-                paused = true;
-                break;
-            }
-        }
-    }
-
-    PlantResult result;
-    result.backend = backend->name();
-    result.finished = !paused && st.next >= n;
-    result.steps = st.next;
-    result.faultEventsApplied = inj.eventsApplied();
-    result.reusedEnergyJ = st.reusedJ;
-    result.unservedJ = st.unservedJ;
-    result.shedComputeJ = st.shedComputeJ;
-    result.bufferDischargeJ = st.dischargeJ;
-    result.throughputRetention = st.nominalComputeJ > 0.0
-        ? st.servedComputeJ / st.nominalComputeJ
-        : 1.0;
-
-    if (result.finished) {
-        result.electricEnergyJ = st.electric.integral(
-            st.electric.startTime(), st.electric.endTime());
-        result.peakElectricW = st.electric.max();
-        result.energyCostUsd =
-            config.tuning.tariff.costOf(st.electric);
-        result.reuseCreditUsd = config.tuning.hwReusePricePerKWh *
-            units::toKWh(st.reusedJ);
-        result.dvfsPenaltyUsd =
-            config.tuning.mpcDvfsPenaltyPerKWh *
-            units::toKWh(st.shedComputeJ);
-        result.netCostUsd = result.energyCostUsd +
-            result.dvfsPenaltyUsd - result.reuseCreditUsd;
-        double span_days = scenario.spanDays > 0.0
-            ? scenario.spanDays
-            : (load.endTime() - load.startTime()) / 86400.0;
-        require(span_days > 0.0, "runPlant: zero-length span");
-        result.yearlyNetCostUsd =
-            result.netCostUsd * 365.25 / span_days;
-        if (obs::enabled()) {
-            static obs::Counter &runs =
-                obs::registry().counter("plant.runs.total");
-            runs.add(1);
-        }
-    }
-    if (config.recordSeries)
-        result.electricW = std::move(st.electric);
-    return result;
+    PlantRun run(scenario, config);
+    bool finished = guard::runResumable(run, config.checkpoint, "plant");
+    return run.result(scenario, config, finished);
 }
 
 PlantComparison
@@ -286,7 +237,7 @@ compareBackends(const PlantScenario &scenario,
     auto runArm = [&](std::size_t i) {
         PlantConfig arm = config;
         arm.options.kind = kinds[i];
-        arm.checkpoint = PlantCheckpointPolicy{};
+        arm.checkpoint = guard::CheckpointPolicy{};
         cmp.arms[i] = runPlant(scenario, arm);
     };
     if (pool) {

@@ -9,10 +9,10 @@
  * WeatherSource (measured trace or sinusoid, hold-last during
  * gaps), prices the resulting electric series on the time-of-use
  * tariff, credits reused heat, and penalizes DVFS-shed compute.
- * The loop is checkpointable through tts::guard with the same
- * policy semantics as the resilience runner (restore-if-exists,
- * periodic writes, stop-after pause), and a resumed run is
- * bit-identical to an uninterrupted one.
+ * The loop is checkpointable through guard::runResumable, the loop
+ * the fleet and resilience runners use (restore-if-exists, periodic
+ * writes, stop-after pause), and a resumed run is bit-identical to
+ * an uninterrupted one.
  *
  * compareBackends() runs several backends as arms of one scenario
  * through exec::ThreadPool with index-keyed result slots, so the
@@ -29,6 +29,7 @@
 #include "datacenter/free_cooling.hh"
 #include "exec/parallel.hh"
 #include "fault/fault_schedule.hh"
+#include "guard/resume.hh"
 #include "plant/backend.hh"
 #include "plant/options.hh"
 #include "util/time_series.hh"
@@ -50,17 +51,6 @@ struct PlantScenario
     double spanDays = 0.0;
 };
 
-/** Checkpoint policy (mirrors core::CheckpointPolicy semantics). */
-struct PlantCheckpointPolicy
-{
-    /** Checkpoint file; empty disables.  Existing file restores. */
-    std::string path;
-    /** Simulated seconds between checkpoint writes. */
-    double checkpointEveryS = 900.0;
-    /** Pause after this much simulated time (< 0: run to end). */
-    double stopAfterS = -1.0;
-};
-
 /** Full study configuration. */
 struct PlantConfig
 {
@@ -74,7 +64,7 @@ struct PlantConfig
      *  precedence over options.weatherPath. */
     std::string weatherText;
     /** Checkpoint policy. */
-    PlantCheckpointPolicy checkpoint;
+    guard::CheckpointPolicy checkpoint;
     /** Keep the electric series in the result. */
     bool recordSeries = true;
 };
@@ -124,8 +114,8 @@ struct PlantResult
  * Run one backend over the scenario (see file comment).
  *
  * @throws FatalError on a malformed scenario (short or non-finite
- * load series), an unreadable weather trace, or a corrupt
- * checkpoint.
+ * load series), an unreadable weather trace, a corrupt checkpoint,
+ * or a checkpoint path with checkpointEveryS <= 0.
  */
 PlantResult runPlant(const PlantScenario &scenario,
                      const PlantConfig &config);

@@ -195,7 +195,7 @@ fleetJobOf(const Request &req)
     job.trace = workload::makeGoogleTrace(tp);
     job.cfg.run = runConfigOf(req);
     job.cfg.run.obs = core::ObsSinks{};
-    job.cfg.run.checkpoint = core::CheckpointPolicy{};
+    job.cfg.run.checkpoint = guard::CheckpointPolicy{};
     job.cfg.durationS = units::days(req.days);
     job.cfg.controlIntervalS = 300.0;
     job.cfg.thermalStepS = 60.0;

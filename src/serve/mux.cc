@@ -49,17 +49,6 @@ setNonblocking(int fd)
                 std::string(std::strerror(errno)));
 }
 
-/** One reply frame, serialized for the session's write buffer. */
-std::string
-frameBytes(const std::string &payload)
-{
-    std::string out = "tts-frame ";
-    out += std::to_string(payload.size());
-    out += '\n';
-    out += payload;
-    return out;
-}
-
 } // namespace
 
 std::map<std::string, double>
@@ -391,7 +380,7 @@ SessionMux::flushSession(const std::shared_ptr<Session> &s)
         return;
     // Frame every ready reply at the front of the slot queue.
     while (!s->slots.empty() && s->slots.front().ready) {
-        s->writeBuf += frameBytes(s->slots.front().payload);
+        s->writeBuf += encodeFrame(s->slots.front().payload);
         s->slots.pop_front();
         ++s->baseSeq;
         {

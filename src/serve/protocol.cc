@@ -484,6 +484,13 @@ parseFrameHeader(const std::string &header, unsigned long long *len,
 
 } // namespace
 
+std::string
+encodeFrame(const std::string &payload)
+{
+    return "tts-frame " + std::to_string(payload.size()) + "\n" +
+        payload;
+}
+
 void
 writeFrame(std::ostream &out, const std::string &payload,
            const FrameLimits &limits)
@@ -493,7 +500,7 @@ writeFrame(std::ostream &out, const std::string &payload,
                 " bytes exceeds the " +
                 std::to_string(limits.maxPayloadBytes) +
                 "-byte frame limit");
-    out << "tts-frame " << payload.size() << "\n" << payload;
+    out << encodeFrame(payload);
     out.flush();
 }
 

@@ -261,8 +261,11 @@ struct FrameResult
     bool recoverable = false;
 };
 
-/** Write one frame (header + payload). @throws FatalError if the
- *  payload exceeds limits.maxPayloadBytes. */
+/** @return One frame: the "tts-frame <len>\n" header + payload. */
+std::string encodeFrame(const std::string &payload);
+
+/** Write encodeFrame(payload). @throws FatalError if the payload
+ *  exceeds limits.maxPayloadBytes. */
 void writeFrame(std::ostream &out, const std::string &payload,
                 const FrameLimits &limits = FrameLimits{});
 

@@ -340,5 +340,48 @@ ServerModel::bayNodeTemp() const
     return net_->nodeTemperature(bay_node_);
 }
 
+void
+ServerModel::saveThermalState(guard::CheckpointWriter &w,
+                              const std::string &key) const
+{
+    w.putVector(key + ".h", net_->enthalpies());
+    w.putBool(key + ".has_wax", hasWax());
+    if (hasWax()) {
+        pcm::PcmElement::ThermalState ts = wax_->thermalState();
+        w.put(key + ".wax.h", ts.enthalpyJ);
+        w.putBool(key + ".wax.freezing", ts.freezingBranch);
+        w.putBool(key + ".wax.was_melted", ts.wasMelted);
+        w.putU64(key + ".wax.cycles", ts.cycles);
+    }
+    w.putCounters(key + ".guard", net_->guardCounters());
+}
+
+void
+ServerModel::restoreThermalState(guard::CheckpointReader &r,
+                                 const std::string &key)
+{
+    std::vector<double> h = r.expectVector(key + ".h");
+    r.check(h.size() == net_->enthalpies().size(), key + ".h",
+            std::to_string(h.size()) + " enthalpies for a " +
+                std::to_string(net_->enthalpies().size()) +
+                "-node network");
+    r.check(guard::firstNonFinite(h) < 0, key + ".h",
+            "non-finite enthalpy");
+    net_->setEnthalpies(h);
+    bool has_wax = r.expectBool(key + ".has_wax");
+    r.check(has_wax == hasWax(), key + ".has_wax",
+            std::string("wax configuration mismatch (model ") +
+                (hasWax() ? "has" : "has no") + " wax)");
+    if (has_wax) {
+        pcm::PcmElement::ThermalState ts;
+        ts.enthalpyJ = r.expect(key + ".wax.h");
+        ts.freezingBranch = r.expectBool(key + ".wax.freezing");
+        ts.wasMelted = r.expectBool(key + ".wax.was_melted");
+        ts.cycles = r.expectU64(key + ".wax.cycles");
+        wax_->restoreThermalState(ts);
+    }
+    net_->setGuardCounters(r.expectCounters(key + ".guard"));
+}
+
 } // namespace server
 } // namespace tts

@@ -16,8 +16,10 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "guard/checkpoint.hh"
 #include "pcm/container.hh"
 #include "pcm/material.hh"
 #include "pcm/pcm_element.hh"
@@ -180,6 +182,24 @@ class ServerModel
 
     /** @return Misc residual power at utilization u (W). */
     double miscPower(double util) const;
+
+    /**
+     * Checkpoint the evolving thermal state under "<key>.*": node
+     * enthalpies, the wax's melt/freeze latches and cycle count, and
+     * the network's guard counters.  The operating point is the
+     * caller's to save.
+     */
+    void saveThermalState(guard::CheckpointWriter &w,
+                          const std::string &key) const;
+
+    /**
+     * Restore state written by saveThermalState() into a model of
+     * the same (spec, wax).
+     * @throws FatalError naming the key of a block that does not fit
+     *         this model (node count, wax presence).
+     */
+    void restoreThermalState(guard::CheckpointReader &r,
+                             const std::string &key);
 
   private:
     void buildBay(const WaxConfig &cfg);

@@ -113,18 +113,6 @@ checkedTrace(const WorkloadTrace &trace)
     return trace;
 }
 
-/** Restore a TimeSeries by re-appending checkpointed samples. */
-void
-restoreSeries(TimeSeries &series, const std::vector<double> &times,
-              const std::vector<double> &values,
-              const std::string &what)
-{
-    require(times.size() == values.size(),
-            what + ": times/values length mismatch");
-    for (std::size_t i = 0; i < times.size(); ++i)
-        series.append(times[i], values[i]);
-}
-
 } // namespace
 
 /**
@@ -588,11 +576,8 @@ struct ClusterSimEngine::Impl
         w.putU64("completed_window", completed_window);
         w.putBool("done", done);
 
-        w.putVector("util.times", result.clusterUtilization.times());
-        w.putVector("util.values",
-                    result.clusterUtilization.values());
-        w.putVector("tput.times", result.throughput.times());
-        w.putVector("tput.values", result.throughput.values());
+        w.putSeries("util", result.clusterUtilization);
+        w.putSeries("tput", result.throughput);
         w.putU64("completed", result.completedJobs);
         w.putU64("dropped", result.droppedJobs);
         w.putU64("offered", result.offeredJobs);
@@ -705,16 +690,10 @@ struct ClusterSimEngine::Impl
         completed_window = r.expectU64("completed_window");
         done = r.expectBool("done");
 
-        std::vector<double> times = r.expectVector("util.times");
-        std::vector<double> values = r.expectVector("util.values");
-        result.clusterUtilization = TimeSeries("cluster_util");
-        restoreSeries(result.clusterUtilization, times, values,
-                      "dcsim checkpoint: cluster_util");
-        times = r.expectVector("tput.times");
-        values = r.expectVector("tput.values");
-        result.throughput = TimeSeries("throughput_jobs_per_s");
-        restoreSeries(result.throughput, times, values,
-                      "dcsim checkpoint: throughput");
+        result.clusterUtilization =
+            r.expectSeries("util", "cluster_util");
+        result.throughput =
+            r.expectSeries("tput", "throughput_jobs_per_s");
         result.completedJobs = r.expectU64("completed");
         result.droppedJobs = r.expectU64("dropped");
         result.offeredJobs = r.expectU64("offered");

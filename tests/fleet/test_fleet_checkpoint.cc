@@ -10,11 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "exec/parallel.hh"
 #include "fleet/fleet.hh"
+#include "guard/checkpoint.hh"
 #include "server/server_spec.hh"
 #include "util/error.hh"
 #include "workload/trace.hh"
@@ -58,7 +61,7 @@ chunkedRun(std::size_t threads)
 {
     std::remove(kCkptPath);
     exec::setGlobalThreads(threads);
-    core::CheckpointPolicy policy;
+    guard::CheckpointPolicy policy;
     policy.path = kCkptPath;
     policy.checkpointEveryS = 900.0;
     policy.stopAfterS = 1800.0;
@@ -157,6 +160,59 @@ TEST(FleetCheckpoint, SaveRestoreRoundTripsMidRun)
         b.step();
     EXPECT_EQ(b.stateDigest(), a.stateDigest());
     std::remove(kCkptPath);
+}
+
+TEST(FleetCheckpoint, NonPositiveIntervalIsRejected)
+{
+    FleetConfig cfg = warehouseConfig();
+    cfg.run.serverCount = 64;
+    for (double every : {0.0, -900.0}) {
+        std::remove(kCkptPath);
+        guard::CheckpointPolicy policy;
+        policy.path = kCkptPath;
+        policy.checkpointEveryS = every;
+        FleetSim sim(server::rd330Spec(), workload::WorkloadTrace{},
+                     cfg);
+        try {
+            sim.run(policy);
+            ADD_FAILURE() << "interval " << every << " was accepted";
+        } catch (const FatalError &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find("checkpointEveryS"), std::string::npos)
+                << msg;
+            char got[32];
+            std::snprintf(got, sizeof(got), "(got %g)", every);
+            EXPECT_NE(msg.find(got), std::string::npos) << msg;
+        }
+        EXPECT_EQ(sim.timeS(), 0.0);
+    }
+    std::remove(kCkptPath);
+}
+
+TEST(FleetCheckpoint, DigestCatchesAOneUlpNudgeAndSurvivesTheCodec)
+{
+    const RowPerturbState pert;
+    server::ServerModel m(server::rd330Spec(),
+                          server::WaxConfig::paper());
+    m.setLoad(0.7);
+    m.advance(600.0, 15.0);
+    const std::uint64_t before = digestServerState(m, pert);
+
+    std::vector<double> h = m.network().enthalpies();
+    h[0] = std::nextafter(h[0], HUGE_VAL);
+    m.network().setEnthalpies(h);
+    const std::uint64_t nudged = digestServerState(m, pert);
+    EXPECT_NE(nudged, before);
+
+    guard::CheckpointWriter w;
+    m.saveThermalState(w, "m");
+    server::ServerModel back(server::rd330Spec(),
+                             server::WaxConfig::paper());
+    back.setLoad(0.7);  // The operating point is the caller's.
+    guard::CheckpointReader r(w.finish(), "test");
+    back.restoreThermalState(r, "m");
+    r.expectEnd();
+    EXPECT_EQ(digestServerState(back, pert), nudged);
 }
 
 } // namespace

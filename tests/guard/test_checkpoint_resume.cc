@@ -104,7 +104,7 @@ ResilienceResult
 chunkedRun(const std::string &path)
 {
     std::remove(path.c_str());
-    CheckpointPolicy policy;
+    guard::CheckpointPolicy policy;
     policy.path = path;
     policy.checkpointEveryS = 200.0;
     policy.stopAfterS = 350.0;
@@ -148,7 +148,7 @@ TEST(CheckpointResume, RunnerRefusesAForeignCheckpoint)
     std::remove(path.c_str());
 
     // Checkpoint scenario A, then try to resume scenario B from it.
-    CheckpointPolicy policy;
+    guard::CheckpointPolicy policy;
     policy.path = path;
     policy.stopAfterS = 350.0;
     ResilienceRunner a(server::rd330Spec(), smallScenario(),
@@ -159,6 +159,28 @@ TEST(CheckpointResume, RunnerRefusesAForeignCheckpoint)
     other.name = "some_other_scenario";
     ResilienceRunner b(server::rd330Spec(), other, smallOptions());
     EXPECT_THROW(b.run(policy), FatalError);
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointResume, NonPositiveIntervalIsRejected)
+{
+    const std::string path =
+        testing::TempDir() + "/tts_resume_interval.tts";
+    std::remove(path.c_str());
+    guard::CheckpointPolicy policy;
+    policy.path = path;
+    policy.checkpointEveryS = 0.0;
+    ResilienceRunner runner(server::rd330Spec(), smallScenario(),
+                            smallOptions());
+    try {
+        runner.run(policy);
+        ADD_FAILURE() << "interval 0 was accepted";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("checkpointEveryS"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("(got 0)"), std::string::npos) << msg;
+    }
     std::remove(path.c_str());
 }
 

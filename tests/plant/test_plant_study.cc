@@ -14,6 +14,7 @@
 
 #include "exec/parallel.hh"
 #include "fault/fault_schedule.hh"
+#include "guard/checkpoint.hh"
 #include "plant/study.hh"
 #include "util/error.hh"
 #include "util/units.hh"
@@ -256,6 +257,57 @@ TEST(RunPlant, CheckpointBackendMismatchIsFatal)
     // Resuming a CRAC checkpoint under the MPC backend must refuse.
     config.options.kind = BackendKind::Mpc;
     EXPECT_THROW(runPlant(scenario, config), FatalError);
+    std::remove(path.c_str());
+}
+
+TEST(RunPlant, NonPositiveCheckpointIntervalIsRejected)
+{
+    auto scenario = dayScenario();
+    std::string path = testing::TempDir() + "plant_interval.ckpt";
+    for (double every : {0.0, -60.0}) {
+        std::remove(path.c_str());
+        PlantConfig config;
+        config.checkpoint.path = path;
+        config.checkpoint.checkpointEveryS = every;
+        try {
+            runPlant(scenario, config);
+            ADD_FAILURE() << "interval " << every << " was accepted";
+        } catch (const FatalError &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find("checkpointEveryS"), std::string::npos)
+                << msg;
+            char got[32];
+            std::snprintf(got, sizeof(got), "(got %g)", every);
+            EXPECT_NE(msg.find(got), std::string::npos) << msg;
+        }
+        // Refused up front: not one sample was checkpointed.
+        EXPECT_FALSE(guard::checkpointExists(path));
+    }
+}
+
+TEST(RunPlant, CheckpointWithTheOldSeriesKeysIsRefusedByKey)
+{
+    // The run block as written before the electric series moved to
+    // the shared "<key>.times/.values" codec.
+    std::string path = testing::TempDir() + "plant_old_keys.ckpt";
+    guard::CheckpointWriter w;
+    w.section("plant.run");
+    w.putToken("backend", "crac");
+    w.putU64("next", 2);
+    w.putVector("electric.t", {0.0, 300.0});
+    w.putVector("electric.v", {1.0, 2.0});
+    guard::writeCheckpointFile(path, w.finish());
+
+    PlantConfig config;
+    config.checkpoint.path = path;
+    try {
+        runPlant(dayScenario(), config);
+        ADD_FAILURE() << "old checkpoint was accepted";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("'electric.times'"), std::string::npos)
+            << msg;
+    }
     std::remove(path.c_str());
 }
 

@@ -134,9 +134,9 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTTS_SANITIZE=address > /dev/null
 cmake --build build-asan -j \
     --target tts_guard_test tts_util_test tts_workload_test \
-    tts_thermal_test > /dev/null
+    tts_thermal_test tts_fleet_test tts_plant_test > /dev/null
 
-echo "== ASan: numerical guard + checkpoint resume =="
+echo "== ASan: numerical guard + checkpoint resume + state codecs =="
 ./build-asan/tests/tts_guard_test
 echo "== ASan: integrator + kv_json + rng =="
 ./build-asan/tests/tts_util_test
@@ -144,5 +144,10 @@ echo "== ASan: cluster simulator save/restore =="
 ./build-asan/tests/tts_workload_test --gtest_filter='ClusterSim*'
 echo "== ASan: SoA thermal kernel + airflow memo =="
 ./build-asan/tests/tts_thermal_test
+echo "== ASan: fleet checkpoint save/restore + digest oracle =="
+./build-asan/tests/tts_fleet_test \
+    --gtest_filter='FleetCheckpoint.*:-FleetCheckpoint.WarehouseResumeIsBitIdentical'
+echo "== ASan: plant runner kill/resume =="
+./build-asan/tests/tts_plant_test --gtest_filter='RunPlant.*'
 
 echo "OK"

@@ -285,6 +285,16 @@ runConfigOf(const Options &o)
     return run;
 }
 
+/** Tell the user where a paused run left its state.  @return 0. */
+int
+reportPause(const Options &o, const guard::CheckpointPolicy &policy)
+{
+    std::printf("paused after %.0f simulated seconds; state saved to "
+                "%s (rerun with --resume=%s to continue)\n",
+                o.stop_after, policy.path.c_str(), policy.path.c_str());
+    return 0;
+}
+
 server::ServerSpec
 platformOf(const Options &o)
 {
@@ -581,17 +591,11 @@ cmdResilience(const Options &o)
                            "crash_fan_storm)");
     }
 
-    const core::CheckpointPolicy &policy = opts.run.checkpoint;
+    const guard::CheckpointPolicy &policy = opts.run.checkpoint;
 
     core::ResilienceRunner runner(spec, scenario, opts);
-    if (!runner.run(policy)) {
-        std::printf("paused after %.0f simulated seconds; state "
-                    "saved to %s (rerun with --resume=%s to "
-                    "continue)\n",
-                    o.stop_after, policy.path.c_str(),
-                    policy.path.c_str());
-        return 0;
-    }
+    if (!runner.run(policy))
+        return reportPause(o, policy);
     auto r = runner.take();
     std::printf("platform=%s scenario=%s events=%zu util=%.2f "
                 "horizon=%.0fmin\n",
@@ -649,15 +653,8 @@ cmdFleet(const Options &o)
     cfg.perturb.eventsPerServerDay = o.perturb_rate;
 
     fleet::FleetSim sim(spec, traceOf(o), cfg);
-    if (!sim.run(cfg.run.checkpoint)) {
-        std::printf("paused after %.0f simulated seconds; state "
-                    "saved to %s (rerun with --resume=%s to "
-                    "continue)\n",
-                    o.stop_after,
-                    cfg.run.checkpoint.path.c_str(),
-                    cfg.run.checkpoint.path.c_str());
-        return 0;
-    }
+    if (!sim.run(cfg.run.checkpoint))
+        return reportPause(o, cfg.run.checkpoint);
     auto r = sim.take();
 
     TimeSeries cooling_mw = r.coolingLoadW.scaled(1e-6);
@@ -712,10 +709,7 @@ cmdPlant(const Options &o)
 
     plant::PlantConfig cfg;
     cfg.options = run.plant;
-    cfg.checkpoint.path = run.checkpoint.path;
-    cfg.checkpoint.checkpointEveryS =
-        run.checkpoint.checkpointEveryS;
-    cfg.checkpoint.stopAfterS = run.checkpoint.stopAfterS;
+    cfg.checkpoint = run.checkpoint;
 
     if (o.backend == "all") {
         auto cmp = plant::compareBackends(
@@ -742,14 +736,8 @@ cmdPlant(const Options &o)
     }
 
     auto r = plant::runPlant(scenario, cfg);
-    if (!r.finished) {
-        std::printf("paused after %.0f simulated seconds; state "
-                    "saved to %s (rerun with --resume=%s to "
-                    "continue)\n",
-                    o.stop_after, cfg.checkpoint.path.c_str(),
-                    cfg.checkpoint.path.c_str());
-        return 0;
-    }
+    if (!r.finished)
+        return reportPause(o, cfg.checkpoint);
     std::printf("platform=%s backend=%s servers=%zu days=%.2f "
                 "faults=%zu\n",
                 spec.name.c_str(), r.backend.c_str(), o.servers,
@@ -846,6 +834,9 @@ main(int argc, char **argv)
                            runConfigOf(o));
     ctx.beginObs();
     try {
+        // Every command refuses a non-positive checkpoint interval,
+        // even those that never reach guard::runResumable.
+        ctx.run().checkpoint.validate();
         int rc = dispatch(o);
         if (ctx.obsRequested()) {
             ctx.finishObs();
