@@ -26,7 +26,8 @@
  * controller never pays for charge it cannot monetize inside the
  * window; in practice it beats the static backends whenever the
  * tariff spread or the diurnal COP swing is non-trivial
- * (bench/perf_plant gates the margin).
+ * (GoldenValues.PlantMpcClearsTheCracFloorAndBeatsTheEconomizer
+ * gates the margins over CRAC and over the economizer it runs on).
  *
  * Degraded-plant steps (capacityFraction < 1) pin the buffer (delta
  * forced to 0) and shed load proportionally like the other

@@ -4,6 +4,7 @@
 
 #include "util/error.hh"
 #include "core/melting_optimizer.hh"
+#include "exec/parallel.hh"
 #include "util/units.hh"
 #include "workload/google_trace.hh"
 
@@ -87,6 +88,37 @@ TEST(MeltOptimizer, OnsetNearSeventyFivePercentLoad)
     }
     EXPECT_GT(onset, 0.55);
     EXPECT_LT(onset, 0.95);
+}
+
+TEST(MeltOptimizer, SweepIsBitIdenticalAtOneAndEightThreads)
+{
+    // Fifteen candidates over eight workers: scheduling decides when
+    // a point runs, never what it computes or where it lands.
+    auto sweepAt = [](std::size_t threads) {
+        exec::setGlobalThreads(threads);
+        auto opt = optimizeMeltingTemp(server::rd330Spec(),
+                                       fastTrace(),
+                                       pcm::commercialParaffin(),
+                                       fastOptions(1.0));
+        exec::setGlobalThreads(exec::defaultThreadCount());
+        return opt;
+    };
+    const MeltOptimum serial = sweepAt(1);
+    const MeltOptimum wide = sweepAt(8);
+
+    EXPECT_EQ(serial.meltTempC, wide.meltTempC);
+    EXPECT_EQ(serial.peakReduction, wide.peakReduction);
+    ASSERT_EQ(serial.sweep.size(), 15u);
+    ASSERT_EQ(wide.sweep.size(), serial.sweep.size());
+    for (std::size_t i = 0; i < serial.sweep.size(); ++i) {
+        const MeltSweepPoint &a = serial.sweep[i];
+        const MeltSweepPoint &b = wide.sweep[i];
+        EXPECT_EQ(a.meltTempC, b.meltTempC) << i;
+        EXPECT_EQ(a.peakCoolingLoadW, b.peakCoolingLoadW) << i;
+        EXPECT_EQ(a.peakReduction, b.peakReduction) << i;
+        EXPECT_EQ(a.meltOnsetUtilization, b.meltOnsetUtilization)
+            << i;
+    }
 }
 
 TEST(MeltOptimizer, RespectsMaterialRange)

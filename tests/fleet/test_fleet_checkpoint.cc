@@ -37,6 +37,8 @@ warehouseConfig()
     cfg.durationS = 2.0 * 3600.0;
     cfg.controlIntervalS = 300.0;
     cfg.thermalStepS = 60.0;
+    // The facility's three platforms, one arena each.
+    cfg.mixedPlatforms = true;
     // ~350 expected perturbed rows: enough to exercise row
     // save/restore without drowning the test in integration time.
     cfg.perturb.eventsPerServerDay = 0.1;

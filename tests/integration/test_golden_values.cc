@@ -192,6 +192,20 @@ TEST(GoldenValues, OptSearchBeatsUniform2U)
 }
 
 /**
+ * The plant claims, held as bounds so a golden refresh cannot wash
+ * them out: the MPC arm saves at least 10% a year over static CRAC,
+ * and since most of that saving is the economizer the MPC runs on,
+ * the controller must also beat the economizer alone.
+ */
+TEST(GoldenValues, PlantMpcClearsTheCracFloorAndBeatsTheEconomizer)
+{
+    const auto &g = computed();
+    EXPECT_GE(g.at("plant.mpc_vs_crac.saving_fraction"), 0.10);
+    EXPECT_LT(g.at("plant.mpc.yearly_net_cost_usd"),
+              g.at("plant.economizer.yearly_net_cost_usd"));
+}
+
+/**
  * tts::exec determinism: the entire golden map, computed through the
  * parallel engine, must be bit-for-bit identical at one and eight
  * threads.  No tolerance - identical doubles or the engine's

@@ -7,6 +7,7 @@
  * must not care how many threads it runs on.
  */
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <gtest/gtest.h>
@@ -16,8 +17,10 @@
 #include "fault/fault_schedule.hh"
 #include "guard/checkpoint.hh"
 #include "plant/study.hh"
+#include "server/server_spec.hh"
 #include "util/error.hh"
 #include "util/units.hh"
+#include "workload/google_trace.hh"
 
 namespace tts {
 namespace plant {
@@ -330,6 +333,33 @@ TEST(CompareBackends, BitIdenticalAtOneAndEightThreads)
     for (std::size_t i = 0; i < serial.arms.size(); ++i)
         expectSameResult(serial.arms[i], parallel.arms[i]);
     EXPECT_EQ(serial.mpcVsCracSaving, parallel.mpcVsCracSaving);
+}
+
+TEST(CompareBackends, PodRaceFinishesInsideTheWallBudget)
+{
+    // Four backends over a 16-server RD330 pod with paper wax and
+    // one day of the Google trace, at one thread.  It takes well
+    // under a second; the 120 s budget only catches a runaway.
+    workload::GoogleTraceParams tp;
+    tp.durationS = units::days(1.0);
+    PlantScenario scenario;
+    scenario.loadW = clusterCoolingLoad(
+        server::rd330Spec(), server::WaxConfig::paper(), 16,
+        workload::makeGoogleTrace(tp));
+    scenario.serverCount = 16;
+
+    exec::setGlobalThreads(1);
+    const auto t0 = std::chrono::steady_clock::now();
+    auto cmp = compareBackends(
+        scenario, PlantConfig{},
+        {BackendKind::Crac, BackendKind::HotWater,
+         BackendKind::Economizer, BackendKind::Mpc});
+    const double wall_s = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - t0).count();
+    exec::setGlobalThreads(exec::defaultThreadCount());
+
+    EXPECT_EQ(cmp.arms.size(), 4u);
+    EXPECT_LE(wall_s, 120.0);
 }
 
 TEST(CompareBackends, RejectsEmptyKindList)

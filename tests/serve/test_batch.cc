@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <string>
 #include <thread>
@@ -266,6 +267,41 @@ TEST(ServeBatch, DaemonRepliesBitIdenticalWithOneWorker)
 TEST(ServeBatch, DaemonRepliesBitIdenticalWithEightWorkers)
 {
     runBatchedDaemon(8);
+}
+
+TEST(ServeBatch, BatchedWallStaysInsideTheUnbatchedBound)
+{
+    // Four distinct fleet misses submitted together, first with one
+    // sweep per miss (window 0), then through a 10 ms window.  The
+    // bound allows 1.5x the unbatched wall plus 0.25 s for the window.
+    const std::vector<Request> pool = fleetPool(4);
+    auto drive = [&](const DaemonConfig &config) {
+        Daemon daemon(config);
+        const auto t0 = std::chrono::steady_clock::now();
+        std::vector<std::future<Reply>> futs;
+        for (const Request &r : pool)
+            futs.push_back(daemon.submit(writeRequest(r)));
+        for (auto &f : futs) {
+            const Reply reply = f.get();
+            EXPECT_TRUE(reply.ok) << reply.detail;
+        }
+        const double wall_s = std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - t0).count();
+        daemon.shutdown();
+        return wall_s;
+    };
+    DaemonConfig solo;
+    solo.workers = 4;
+    solo.queueCapacity = 2 * pool.size() + 8;
+    solo.batch.windowMs = 0.0;
+    const double unbatched_s = drive(solo);
+    DaemonConfig merged = solo;
+    merged.batch.windowMs = 10.0;
+    merged.batch.maxBatch = pool.size();
+    const double batched_s = drive(merged);
+
+    EXPECT_LE(batched_s, 1.5 * unbatched_s + 0.25)
+        << "unbatched " << unbatched_s << " s";
 }
 
 TEST(ServeBatch, AllHitsTrafficNeverReachesTheBatcher)

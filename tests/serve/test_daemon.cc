@@ -18,6 +18,8 @@
 #include "serve/daemon.hh"
 #include "serve/eval.hh"
 #include "util/error.hh"
+#include "util/random.hh"
+#include "util/stats.hh"
 
 using namespace tts;
 using namespace tts::serve;
@@ -130,6 +132,51 @@ TEST(ServeDaemon, ResultsIdenticalAtOneAndEightWorkers)
         }
     }
     EXPECT_EQ(at1, at8);
+}
+
+TEST(ServeDaemon, RepeatedDocumentsHitTheCacheWithinTheLatencyBudget)
+{
+    // 96 sequential calls drawn uniformly from 16 quick outage
+    // documents.  After its first evaluation every further draw of a
+    // document is a hit, so the hit rate lands near 1 - 16/96.  A hit
+    // is a lookup plus a snapshot copy and must never cost anything
+    // close to an evaluation.
+    std::vector<std::string> pool;
+    for (double horizon : {60.0, 90.0, 120.0, 150.0})
+        for (double util : {0.6, 0.9})
+            for (double wax : {0.0, 8.0})
+                pool.push_back(quickRequest(horizon, util, wax));
+    const std::size_t calls = 96;
+
+    DaemonConfig config;
+    config.workers = 4;
+    config.queueCapacity = 2 * calls;
+    config.cache.capacity = 2 * pool.size();
+    Daemon daemon(config);
+
+    Rng pick = Rng::forStream(0xbe9c5e, 7);
+    std::size_t ok = 0;
+    std::vector<double> hit_ms;
+    for (std::size_t i = 0; i < calls; ++i) {
+        const std::string &doc = pool[pick.uniformInt(pool.size())];
+        const auto t0 = std::chrono::steady_clock::now();
+        const Reply r = daemon.call(doc);
+        const double ms = std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - t0).count();
+        if (r.ok)
+            ++ok;
+        if (r.cacheHit)
+            hit_ms.push_back(ms);
+    }
+    const double hit_rate =
+        static_cast<double>(daemon.cacheCounters().hits +
+                            daemon.stats().coalesced) /
+        static_cast<double>(calls);
+
+    EXPECT_EQ(ok, calls);
+    EXPECT_GE(hit_rate, 0.5);
+    ASSERT_FALSE(hit_ms.empty());
+    EXPECT_LE(percentile(hit_ms, 99.0), 50.0);
 }
 
 TEST(ServeDaemon, MalformedRequestGetsATypedReplyAndServiceContinues)
