@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <istream>
-#include <ostream>
 #include <utility>
 
 #include "cache/fingerprint.hh"
@@ -470,82 +468,6 @@ Daemon::noteReply(const Reply &reply, double latency_ms)
                            : metrics().repliesError,
                   1);
     TTS_OBS_OBSERVE(metrics().latencyMs, latency_ms);
-}
-
-StreamStats
-serveStream(std::istream &in, std::ostream &out, Daemon &daemon,
-            const StreamOptions &options)
-{
-    StreamStats stats;
-    std::size_t window = options.pipelineWindow != 0
-        ? options.pipelineWindow
-        : daemon.config().queueCapacity;
-    if (window == 0)
-        window = 1;
-    // Replies may carry more envelope text than the request budget;
-    // give them headroom so writeFrame never throws mid-session.
-    FrameLimits reply_limits;
-    reply_limits.maxPayloadBytes = std::max<std::size_t>(
-        options.limits.maxPayloadBytes, 256 * 1024);
-
-    // Replies go out in request order: a malformed frame's error
-    // reply occupies the same slot a result would have.
-    struct Pending
-    {
-        bool ready = false;
-        Reply reply;
-        std::future<Reply> fut;
-    };
-    std::deque<Pending> pending;
-    auto flushOne = [&] {
-        Pending p = std::move(pending.front());
-        pending.pop_front();
-        // Always collect the reply - an in-flight evaluation must
-        // complete even for a vanished client - but only write it
-        // while the stream is still healthy.
-        const Reply reply = p.ready ? p.reply : p.fut.get();
-        if (!out.fail()) {
-            writeFrame(out, reply.toJson(), reply_limits);
-            ++stats.repliesWritten;
-        }
-    };
-
-    for (;;) {
-        if (out.fail()) {
-            // The client disconnected mid-pipeline.  Stop reading;
-            // the drain below still waits out every accepted
-            // request so no evaluation is orphaned and the worker
-            // pool stays healthy.
-            stats.aborted = true;
-            break;
-        }
-        FrameResult frame = readFrame(in, options.limits);
-        if (frame.status == FrameStatus::Eof)
-            break;
-        if (frame.status == FrameStatus::Malformed) {
-            ++stats.framesMalformed;
-            Pending p;
-            p.ready = true;
-            p.reply = Reply::errorReply(ErrorKind::Malformed,
-                                        frame.diagnostic);
-            pending.push_back(std::move(p));
-            if (!frame.recoverable) {
-                stats.aborted = true;
-                break;
-            }
-        } else {
-            ++stats.framesOk;
-            Pending p;
-            p.fut = daemon.submit(std::move(frame.payload));
-            pending.push_back(std::move(p));
-        }
-        while (pending.size() >= window)
-            flushOne();
-    }
-    while (!pending.empty())
-        flushOne();
-    out.flush();
-    return stats;
 }
 
 } // namespace serve

@@ -50,7 +50,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -220,41 +219,6 @@ class Daemon
 
     std::vector<std::thread> workers_;
 };
-
-/** Options for serving one framed byte stream. */
-struct StreamOptions
-{
-    /** Frame size limits (the request byte budget). */
-    FrameLimits limits;
-    /**
-     * Replies outstanding before the loop blocks on the oldest
-     * (replies are written in request order); 0 = the daemon's
-     * queue capacity.  Raising it past the queue capacity lets a
-     * fast client overrun admission and see `overloaded` replies.
-     */
-    std::size_t pipelineWindow = 0;
-};
-
-/** What one serveStream() session did. */
-struct StreamStats
-{
-    std::size_t framesOk = 0;
-    std::size_t framesMalformed = 0;
-    std::size_t repliesWritten = 0;
-    /** True when a unrecoverable frame ended the session early. */
-    bool aborted = false;
-};
-
-/**
- * Serve length-prefixed request frames from `in`, writing one reply
- * frame per request to `out` in request order.  Returns at EOF or
- * after an unrecoverable framing error (every accepted request is
- * still answered first).  Never throws on hostile input.
- */
-StreamStats serveStream(std::istream &in, std::ostream &out,
-                        Daemon &daemon,
-                        const StreamOptions &options =
-                            StreamOptions{});
 
 } // namespace serve
 } // namespace tts

@@ -39,7 +39,8 @@ metrics()
     return m;
 }
 
-void
+/** Set O_NONBLOCK on `fd`. @return Its file-status flags before. */
+int
 setNonblocking(int fd)
 {
     const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -47,6 +48,15 @@ setNonblocking(int fd)
                 ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
             "mux: fcntl(O_NONBLOCK) failed: " +
                 std::string(std::strerror(errno)));
+    return flags;
+}
+
+void
+closeFds(int read_fd, int write_fd)
+{
+    ::close(read_fd);
+    if (write_fd != read_fd)
+        ::close(write_fd);
 }
 
 } // namespace
@@ -76,7 +86,13 @@ MuxStats::toMap() const
  */
 struct SessionMux::Session
 {
-    int fd = -1;
+    int readFd = -1;
+    int writeFd = -1;
+    /** File-status flags of each fd before the mux set O_NONBLOCK. */
+    int readFlags = 0;
+    int writeFlags = 0;
+    /** send() said ENOTSOCK: the write fd is a pipe; use write(). */
+    bool pipeOut = false;
     FrameDecoder decoder;
     /** In-order reply slots; front is the next to write. */
     struct Slot
@@ -92,15 +108,40 @@ struct SessionMux::Session
     /** Bytes framed for this client but not yet written. */
     std::string writeBuf;
     std::size_t writePos = 0;
-    /** EOF or unrecoverable frame: no more reads, drain and close. */
+    /** Replies framed into writeBuf since it was last empty. */
+    std::uint64_t unsentReplies = 0;
+    /** read() returned EOF or an error: the fd is read no more. */
+    bool inputEnded = false;
+    /** No more frames are taken (the decoder is spent, or a frame
+     *  was unrecoverable): drain and close. */
     bool readClosed = false;
     /** fd gone (disconnect / write error): discard completions. */
     bool dead = false;
 
     explicit Session(FrameLimits limits) : decoder(limits) {}
 
-    std::size_t outstanding() const { return slots.size(); }
+    /** Requests not yet answered on the wire: reserved slots plus
+     *  replies framed but not fully written.  Counting the latter
+     *  holds a client that stops reading to one window of replies. */
+    std::size_t outstanding() const
+    {
+        return slots.size() + static_cast<std::size_t>(unsentReplies);
+    }
     bool wantsWrite() const { return writePos < writeBuf.size(); }
+
+    /** Put back each fd's flags, then close it.  The write fd goes
+     *  first: when both fds share one open file (a terminal on
+     *  stdin and stdout), the read fd saved the true originals. */
+    void release()
+    {
+        if (readFd < 0)
+            return;
+        if (writeFd != readFd)
+            ::fcntl(writeFd, F_SETFL, writeFlags);
+        ::fcntl(readFd, F_SETFL, readFlags);
+        closeFds(readFd, writeFd);
+        readFd = writeFd = -1;
+    }
 };
 
 /**
@@ -119,7 +160,8 @@ struct SessionMux::Shared
         std::string payload;
     };
     std::vector<Completion> completions;
-    std::vector<int> adopted;
+    /** (read fd, write fd) pairs waiting for the loop. */
+    std::vector<std::pair<int, int>> adopted;
     bool stopRequested = false;
     /** The mux is gone; completions are silently dropped. */
     bool closed = false;
@@ -183,13 +225,12 @@ SessionMux::~SessionMux()
     {
         std::lock_guard<std::mutex> lock(shared_->mu);
         shared_->closed = true;
-        for (int fd : shared_->adopted)
-            ::close(fd);
+        for (const auto &fds : shared_->adopted)
+            closeFds(fds.first, fds.second);
         shared_->adopted.clear();
     }
     for (const auto &s : sessions_) {
-        if (s->fd >= 0)
-            ::close(s->fd);
+        s->release();
         s->dead = true;
     }
     if (listenFd_ >= 0)
@@ -228,17 +269,18 @@ SessionMux::listenUnix(const std::string &path)
 }
 
 void
-SessionMux::adopt(int fd)
+SessionMux::adopt(int read_fd, int write_fd)
 {
+    bool queued = false;
     {
         std::lock_guard<std::mutex> lock(shared_->mu);
         if (!shared_->closed) {
-            shared_->adopted.push_back(fd);
-            fd = -1;
+            shared_->adopted.emplace_back(read_fd, write_fd);
+            queued = true;
         }
     }
-    if (fd >= 0) {
-        ::close(fd); // The mux is gone; refuse quietly.
+    if (!queued) {
+        closeFds(read_fd, write_fd); // The mux is gone; refuse quietly.
         return;
     }
     shared_->wake();
@@ -261,12 +303,15 @@ SessionMux::stats() const
     return stats_;
 }
 
-std::shared_ptr<SessionMux::Session>
-SessionMux::addSession(int fd)
+void
+SessionMux::addSession(int read_fd, int write_fd)
 {
-    setNonblocking(fd);
     auto s = std::make_shared<Session>(options_.limits);
-    s->fd = fd;
+    s->readFd = read_fd;
+    s->writeFd = write_fd;
+    s->readFlags = setNonblocking(read_fd);
+    if (write_fd != read_fd)
+        s->writeFlags = setNonblocking(write_fd);
     sessions_.push_back(s);
     {
         std::lock_guard<std::mutex> lock(shared_->mu);
@@ -276,7 +321,6 @@ SessionMux::addSession(int fd)
             static_cast<std::uint64_t>(sessions_.size()));
     }
     TTS_OBS_COUNT(metrics().sessions, 1);
-    return s;
 }
 
 void
@@ -291,21 +335,20 @@ SessionMux::acceptReady()
                 continue;
             return; // EAGAIN or a transient accept error: poll on.
         }
-        addSession(fd);
+        addSession(fd, fd);
     }
 }
 
 void
-SessionMux::reserveErrorSlot(const std::shared_ptr<Session> &s,
-                             const FrameResult &frame)
+SessionMux::reserveErrorSlot(Session &s, const FrameResult &frame)
 {
     Session::Slot slot;
     slot.ready = true;
     slot.payload =
         Reply::errorReply(ErrorKind::Malformed, frame.diagnostic)
             .toJson();
-    s->slots.push_back(std::move(slot));
-    ++s->nextSeq;
+    s.slots.push_back(std::move(slot));
+    ++s.nextSeq;
     std::lock_guard<std::mutex> lock(shared_->mu);
     ++stats_.framesMalformed;
 }
@@ -333,96 +376,122 @@ SessionMux::dispatchFrame(const std::shared_ptr<Session> &s,
 }
 
 void
-SessionMux::readSession(const std::shared_ptr<Session> &s)
+SessionMux::readSession(Session &s)
 {
-    if (s->readClosed || s->dead)
-        return; // A lingering POLLHUP after EOF must not re-finish.
     char buf[64 * 1024];
     for (;;) {
-        const ssize_t n = ::read(s->fd, buf, sizeof(buf));
+        const ssize_t n = ::read(s.readFd, buf, sizeof(buf));
         if (n > 0) {
-            s->decoder.feed(buf, static_cast<std::size_t>(n));
-            break; // One chunk per poll round keeps sessions fair.
+            s.decoder.feed(buf, static_cast<std::size_t>(n));
+            return; // One chunk per poll round keeps sessions fair.
         }
-        if (n == 0) {
-            s->readClosed = true;
-            FrameResult tail = s->decoder.finish();
-            if (tail.status == FrameStatus::Malformed)
-                reserveErrorSlot(s, tail);
-            break;
-        }
-        if (errno == EINTR)
+        if (n < 0 && errno == EINTR)
             continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        // Hard read error: the client is gone.  In-flight
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+            return;
+        s.inputEnded = true;
+        // A hard read error means the client is gone.  In-flight
         // evaluations still complete; their replies are discarded.
-        s->readClosed = true;
-        s->dead = true;
-        break;
+        if (n < 0)
+            s.dead = true;
+        return;
     }
-    FrameResult frame;
-    while (!s->readClosed && s->decoder.next(&frame)) {
-        if (frame.status == FrameStatus::Malformed) {
-            reserveErrorSlot(s, frame);
+}
+
+void
+SessionMux::pumpSession(const std::shared_ptr<Session> &s)
+{
+    for (;;) {
+        // Frame every ready reply at the front of the slot queue and
+        // write before taking more: a client that is gone is found
+        // dead here, not after the window refilled.
+        while (!s->dead && !s->slots.empty() &&
+               s->slots.front().ready) {
+            s->writeBuf += encodeFrame(s->slots.front().payload);
+            s->slots.pop_front();
+            ++s->baseSeq;
+            ++s->unsentReplies;
+        }
+        flushSession(*s);
+        if (s->dead || s->readClosed || s->outstanding() >= window_)
+            return;
+        // The window has room: take the next buffered frame.
+        FrameResult frame;
+        if (!s->decoder.next(&frame)) {
+            if (!s->inputEnded)
+                return; // The decoder needs bytes: poll for them.
+            // EOF, and no complete frame is left to dispatch.
+            frame = s->decoder.finish();
+            s->readClosed = true;
+            if (frame.status == FrameStatus::Eof)
+                return;
+        }
+        if (frame.status == FrameStatus::Ok) {
+            dispatchFrame(s, std::move(frame));
+        } else {
+            reserveErrorSlot(*s, frame);
             if (!frame.recoverable)
                 s->readClosed = true;
-        } else {
-            dispatchFrame(s, std::move(frame));
         }
     }
 }
 
 void
-SessionMux::flushSession(const std::shared_ptr<Session> &s)
+SessionMux::flushSession(Session &s)
 {
-    if (s->dead || s->fd < 0)
-        return;
-    // Frame every ready reply at the front of the slot queue.
-    while (!s->slots.empty() && s->slots.front().ready) {
-        s->writeBuf += encodeFrame(s->slots.front().payload);
-        s->slots.pop_front();
-        ++s->baseSeq;
-        {
-            std::lock_guard<std::mutex> lock(shared_->mu);
-            ++stats_.repliesWritten;
-        }
-        TTS_OBS_COUNT(metrics().replies, 1);
-    }
-    // Push bytes until the socket pushes back.  MSG_NOSIGNAL: a
-    // peer that hung up must surface as EPIPE here, not SIGPIPE.
-    while (s->wantsWrite()) {
-        const ssize_t n =
-            ::send(s->fd, s->writeBuf.data() + s->writePos,
-                   s->writeBuf.size() - s->writePos, MSG_NOSIGNAL);
+    // Push bytes until the fd pushes back.  MSG_NOSIGNAL: a socket
+    // peer that hung up must surface as EPIPE here, not SIGPIPE.  A
+    // pipe is no socket; it gets write() (see mux.hh on SIGPIPE).
+    while (!s.dead && s.wantsWrite()) {
+        const char *data = s.writeBuf.data() + s.writePos;
+        const std::size_t len = s.writeBuf.size() - s.writePos;
+        const ssize_t n = s.pipeOut
+            ? ::write(s.writeFd, data, len)
+            : ::send(s.writeFd, data, len, MSG_NOSIGNAL);
         if (n > 0) {
-            s->writePos += static_cast<std::size_t>(n);
+            s.writePos += static_cast<std::size_t>(n);
+            continue;
+        }
+        if (errno == ENOTSOCK && !s.pipeOut) {
+            s.pipeOut = true;
             continue;
         }
         if (errno == EINTR)
             continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK)
             return; // Slow client: poll for POLLOUT, serve others.
-        s->dead = true; // EPIPE/ECONNRESET: client vanished.
-        return;
+        s.dead = true; // EPIPE/ECONNRESET: client vanished.
     }
-    s->writeBuf.clear();
-    s->writePos = 0;
+    if (s.dead || s.unsentReplies == 0)
+        return;
+    s.writeBuf.clear();
+    s.writePos = 0;
+    {
+        std::lock_guard<std::mutex> lock(shared_->mu);
+        stats_.repliesWritten += s.unsentReplies;
+    }
+    TTS_OBS_COUNT(metrics().replies, s.unsentReplies);
+    s.unsentReplies = 0;
 }
 
 void
 SessionMux::closeSession(const std::shared_ptr<Session> &s)
 {
-    if (s->fd >= 0) {
-        ::close(s->fd);
-        s->fd = -1;
-    }
+    s->release();
+    // A dead session's replies are never delivered: those framed
+    // but unsent, and every slot still queued.
+    const std::uint64_t discarded =
+        s->dead ? s->unsentReplies + s->slots.size() : 0;
     s->dead = true;
     sessions_.erase(
         std::remove(sessions_.begin(), sessions_.end(), s),
         sessions_.end());
-    std::lock_guard<std::mutex> lock(shared_->mu);
-    ++stats_.sessionsClosed;
+    {
+        std::lock_guard<std::mutex> lock(shared_->mu);
+        ++stats_.sessionsClosed;
+        stats_.repliesDiscarded += discarded;
+    }
+    TTS_OBS_COUNT(metrics().discarded, discarded);
 }
 
 void
@@ -432,31 +501,25 @@ SessionMux::drainWake()
     while (::read(shared_->wakeRead, buf, sizeof(buf)) > 0) {
     }
     std::vector<Shared::Completion> completions;
-    std::vector<int> adopted;
+    std::vector<std::pair<int, int>> adopted;
     {
         std::lock_guard<std::mutex> lock(shared_->mu);
         completions.swap(shared_->completions);
         adopted.swap(shared_->adopted);
     }
-    for (int fd : adopted) {
+    for (const auto &fds : adopted) {
         if (sessions_.size() >= options_.maxSessions) {
-            ::close(fd);
+            closeFds(fds.first, fds.second);
             std::lock_guard<std::mutex> lock(shared_->mu);
             ++stats_.sessionsRefused;
             continue;
         }
-        addSession(fd);
+        addSession(fds.first, fds.second);
     }
     for (Shared::Completion &c : completions) {
         Session &s = *c.session;
-        if (s.dead) {
-            {
-                std::lock_guard<std::mutex> lock(shared_->mu);
-                ++stats_.repliesDiscarded;
-            }
-            TTS_OBS_COUNT(metrics().discarded, 1);
-            continue;
-        }
+        if (s.dead)
+            continue; // Counted as discarded when it closed.
         invariant(c.seq >= s.baseSeq &&
                       c.seq - s.baseSeq < s.slots.size(),
                   "mux: completion for an unreserved reply slot");
@@ -471,9 +534,6 @@ void
 SessionMux::run()
 {
     std::vector<pollfd> fds;
-    // Poll-index bookkeeping: rebuilt every round, parallel with
-    // `polled` so revents map back to sessions.
-    std::vector<std::shared_ptr<Session>> polled;
     for (;;) {
         {
             std::lock_guard<std::mutex> lock(shared_->mu);
@@ -485,23 +545,24 @@ SessionMux::run()
         }
 
         fds.clear();
-        polled.clear();
         fds.push_back(
             pollfd{shared_->wakeRead, POLLIN, 0});
         const bool canAccept = listenFd_ >= 0 &&
             sessions_.size() < options_.maxSessions;
         if (canAccept)
             fds.push_back(pollfd{listenFd_, POLLIN, 0});
+        // Two entries per session: its read fd while the window has
+        // room (the decoder then holds no complete frame), and its
+        // write fd while bytes wait.  poll() skips an fd of -1, so a
+        // window-full session waits on completions only.
+        const std::size_t first = fds.size();
+        const std::size_t polled = sessions_.size();
         for (const auto &s : sessions_) {
-            short events = 0;
-            if (!s->readClosed && s->outstanding() < window_)
-                events |= POLLIN;
-            if (s->wantsWrite())
-                events |= POLLOUT;
-            // A drained, read-closed session closes below; a
-            // window-full session waits on completions only.
-            fds.push_back(pollfd{s->fd, events, 0});
-            polled.push_back(s);
+            const bool reads = !s->inputEnded && !s->readClosed &&
+                !s->dead && s->outstanding() < window_;
+            fds.push_back(pollfd{reads ? s->readFd : -1, POLLIN, 0});
+            fds.push_back(pollfd{s->wantsWrite() ? s->writeFd : -1,
+                                 POLLOUT, 0});
         }
 
         const int rc = ::poll(fds.data(),
@@ -513,21 +574,18 @@ SessionMux::run()
                   std::string(std::strerror(errno)));
         }
 
-        std::size_t idx = 0;
-        if (fds[idx++].revents & POLLIN)
+        if (fds[0].revents & POLLIN)
             drainWake();
-        if (canAccept) {
-            if (fds[idx].revents & POLLIN)
-                acceptReady();
-            ++idx;
-        }
-        for (std::size_t i = 0; i < polled.size(); ++i) {
-            const std::shared_ptr<Session> &s = polled[i];
-            const short got = fds[idx + i].revents;
-            if (got & (POLLIN | POLLHUP | POLLERR))
-                readSession(s);
-            flushSession(s);
-        }
+        if (canAccept && (fds[1].revents & POLLIN))
+            acceptReady();
+        // Sessions added above sit past `polled`; none is removed
+        // before the sweep.
+        for (std::size_t i = 0; i < polled; ++i)
+            if (fds[first + 2 * i].revents &
+                (POLLIN | POLLHUP | POLLERR))
+                readSession(*sessions_[i]);
+        for (const auto &s : sessions_)
+            pumpSession(s);
 
         // Sweep: close drained or dead sessions.  Dead sessions
         // may still have evaluations in flight - those complete

@@ -1,16 +1,15 @@
 /**
  * @file
- * Poll-based multi-session front end for the scenario daemon.
+ * The session loop of the scenario daemon: every framed session,
+ * socket or stdio, runs here.
  *
- * serveStream() handles exactly one framed byte stream and parks a
- * thread per outstanding request.  The SessionMux scales that to
- * many concurrent clients on one thread: a poll() loop accepts
- * connections on a Unix socket (or adopts already-connected fds -
- * the test hook), feeds each session's bytes through an incremental
- * FrameDecoder, and dispatches decoded requests to the shared
- * Daemon with submitAsync().  Worker callbacks post completed
- * replies to the loop through a self-pipe, so the loop never blocks
- * on evaluation and a slow evaluation never blocks the loop.
+ * SessionMux is one poll() loop that accepts connections on a Unix
+ * socket (or adopts already-connected fds: stdin/stdout, or a test's
+ * socketpair), feeds each session's bytes through a FrameDecoder,
+ * and dispatches decoded requests to the shared Daemon with
+ * submitAsync().  Worker callbacks post completed replies to the
+ * loop through a self-pipe, so the loop never blocks on evaluation
+ * and a slow evaluation never blocks the loop.
  *
  * Ordering and isolation invariants:
  *
@@ -24,10 +23,25 @@
  *    in-flight evaluations complete normally (warming the shared
  *    cache) and their replies are counted as discarded, never
  *    delivered to a dead fd.
- *  - Per-session backpressure: once pipelineWindow replies are
- *    outstanding the loop stops reading that session's fd until a
- *    slot drains, so one firehose client cannot monopolise the
- *    admission queue.
+ *  - The pipeline window bounds requests, not reads: a session has
+ *    at most pipelineWindow requests outstanding, and a request is
+ *    outstanding until its reply is written.  Frames past the
+ *    window wait in its decoder and are dispatched as replies go
+ *    out; its fd is read only when the decoder holds no complete
+ *    frame.  So one client pipelining thousands of frames in one
+ *    write cannot overrun the admission queue, and a client that
+ *    stops reading holds its session to one window of replies.
+ *
+ * Pipe sessions: a session may read one fd and write another.
+ * Writes go through send(MSG_NOSIGNAL), so a vanished socket peer
+ * is an EPIPE return; a pipe is not a socket and gets write(), which
+ * raises SIGPIPE when its reader is gone.  A process that serves
+ * pipes must therefore ignore SIGPIPE (tts_serve does at startup);
+ * the failed write then marks the session dead like a vanished
+ * socket peer.  The mux sets O_NONBLOCK on every session fd and
+ * puts the original file-status flags back before closing it, so
+ * an adopted stdin/stdout is not left nonblocking for the processes
+ * that share it.
  *
  * Thread model: run() owns every Session; daemon workers only touch
  * the completion queue (mutex + self-pipe).  stop() and adopt() are
@@ -59,8 +73,9 @@ struct MuxOptions
      *  accepting at capacity (the listen backlog queues), and
      *  adopt() past it refuses the fd. */
     std::size_t maxSessions = 64;
-    /** Outstanding replies per session before its fd stops being
-     *  read; 0 = the daemon's queue capacity. */
+    /** Requests outstanding (dispatched, reply not yet written)
+     *  per session; later frames wait in the session's decoder.
+     *  0 = the daemon's queue capacity. */
     std::size_t pipelineWindow = 0;
     /** run() returns once this many sessions have fully closed;
      *  0 = run until stop(). */
@@ -76,7 +91,7 @@ struct MuxStats
     std::uint64_t framesOk = 0;
     std::uint64_t framesMalformed = 0;
     std::uint64_t repliesWritten = 0;
-    /** Replies that completed after their client vanished. */
+    /** Replies never delivered because their client vanished. */
     std::uint64_t repliesDiscarded = 0;
     std::uint64_t peakSessions = 0;
 
@@ -110,12 +125,16 @@ class SessionMux
     void listenUnix(const std::string &path);
 
     /**
-     * Adopt an already-connected stream fd as a session (the test
-     * hook: socketpair() one end in, drive the other).  Safe from
-     * any thread; the fd is owned by the mux from here on.  Refused
-     * (fd closed, counted) past maxSessions.
+     * Adopt an already-connected stream as a session that reads
+     * `read_fd` and writes `write_fd` (stdin and stdout, or the two
+     * ends of a test's pipes).  Safe from any thread; both fds are
+     * owned by the mux from here on.  Refused (fds closed, counted)
+     * past maxSessions.
      */
-    void adopt(int fd);
+    void adopt(int read_fd, int write_fd);
+
+    /** Adopt a connected socket, read and written on one fd. */
+    void adopt(int fd) { adopt(fd, fd); }
 
     /**
      * Serve until stop() or until exitAfterSessions sessions have
@@ -137,13 +156,13 @@ class SessionMux
 
     void acceptReady();
     void drainWake();
-    std::shared_ptr<Session> addSession(int fd);
-    void readSession(const std::shared_ptr<Session> &s);
-    void flushSession(const std::shared_ptr<Session> &s);
+    void addSession(int read_fd, int write_fd);
+    void readSession(Session &s);
+    void pumpSession(const std::shared_ptr<Session> &s);
     void dispatchFrame(const std::shared_ptr<Session> &s,
                        FrameResult frame);
-    void reserveErrorSlot(const std::shared_ptr<Session> &s,
-                          const FrameResult &frame);
+    void reserveErrorSlot(Session &s, const FrameResult &frame);
+    void flushSession(Session &s);
     void closeSession(const std::shared_ptr<Session> &s);
 
     Daemon &daemon_;

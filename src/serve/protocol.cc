@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <set>
@@ -432,14 +431,13 @@ Reply::fromJson(const std::string &json)
 
 namespace {
 
-/** Longest frame header line either reader accepts (bytes). */
+/** Longest frame header line the decoder accepts (bytes). */
 constexpr std::size_t kMaxHeaderBytes = 64;
 
 /**
- * The one frame-header grammar, shared by readFrame() and
- * FrameDecoder: exactly "tts-frame " followed by one or more ASCII
- * decimal digits, at most kMaxHeaderBytes in all, the value within
- * 64 bits.  No sign, no spaces.
+ * The frame-header grammar: exactly "tts-frame " followed by one or
+ * more ASCII decimal digits, at most kMaxHeaderBytes in all, the
+ * value within 64 bits.  No sign, no spaces.
  *
  * @return True with *len set; false with *err filled in as an
  *         unrecoverable malformed frame.
@@ -482,6 +480,14 @@ parseFrameHeader(const std::string &header, unsigned long long *len,
     return true;
 }
 
+std::string
+oversizedDiagnostic(std::size_t len, std::size_t limit)
+{
+    return "frame: payload of " + std::to_string(len) +
+        " bytes exceeds the " + std::to_string(limit) +
+        "-byte frame limit";
+}
+
 } // namespace
 
 std::string
@@ -502,68 +508,6 @@ writeFrame(std::ostream &out, const std::string &payload,
                 "-byte frame limit");
     out << encodeFrame(payload);
     out.flush();
-}
-
-FrameResult
-readFrame(std::istream &in, const FrameLimits &limits)
-{
-    FrameResult r;
-    // Read the header line, stopping one byte past the cap so an
-    // endless newline-free preamble is never buffered in full.
-    std::string header;
-    int c = 0;
-    while (header.size() <= kMaxHeaderBytes &&
-           (c = in.get()) != std::istream::traits_type::eof() &&
-           c != '\n')
-        header.push_back(static_cast<char>(c));
-    if (header.empty() && c == std::istream::traits_type::eof()) {
-        r.status = FrameStatus::Eof;
-        return r;
-    }
-    unsigned long long len = 0;
-    if (!parseFrameHeader(header, &len, &r))
-        return r;
-    if (len > limits.maxPayloadBytes) {
-        // Drain the declared payload so the next frame still lines
-        // up; a stream too short to drain is unrecoverable anyway.
-        char sink[4096];
-        unsigned long long remaining = len;
-        while (remaining > 0 && in.good()) {
-            const auto chunk = static_cast<std::streamsize>(
-                remaining < sizeof(sink)
-                    ? remaining
-                    : static_cast<unsigned long long>(sizeof(sink)));
-            in.read(sink, chunk);
-            remaining -=
-                static_cast<unsigned long long>(in.gcount());
-            if (in.gcount() == 0)
-                break;
-        }
-        r.status = FrameStatus::Malformed;
-        r.diagnostic = "frame: payload of " + std::to_string(len) +
-            " bytes exceeds the " +
-            std::to_string(limits.maxPayloadBytes) +
-            "-byte frame limit";
-        r.recoverable = remaining == 0;
-        return r;
-    }
-    r.payload.resize(static_cast<std::size_t>(len));
-    if (len > 0) {
-        in.read(r.payload.data(),
-                static_cast<std::streamsize>(len));
-        const auto got = static_cast<std::size_t>(in.gcount());
-        if (got != static_cast<std::size_t>(len)) {
-            r.payload.clear();
-            r.status = FrameStatus::Malformed;
-            r.diagnostic = "frame: truncated payload (" +
-                std::to_string(got) + " of " + std::to_string(len) +
-                " declared bytes)";
-            r.recoverable = false;
-            return r;
-        }
-    }
-    r.status = FrameStatus::Ok;
-    return r;
 }
 
 void
@@ -610,7 +554,7 @@ FrameDecoder::next(FrameResult *out)
             }
             pos_ = nl + 1;
             compact();
-            want_ = static_cast<std::size_t>(len);
+            want_ = declared_ = static_cast<std::size_t>(len);
             state_ = len > limits_.maxPayloadBytes ? State::Drain
                                                    : State::Payload;
             continue;
@@ -638,9 +582,8 @@ FrameDecoder::next(FrameResult *out)
                 return false;
             out->status = FrameStatus::Malformed;
             out->payload.clear();
-            out->diagnostic = "frame: payload exceeds the " +
-                std::to_string(limits_.maxPayloadBytes) +
-                "-byte frame limit";
+            out->diagnostic = oversizedDiagnostic(
+                declared_, limits_.maxPayloadBytes);
             out->recoverable = true;
             state_ = State::Header;
             return true;
@@ -662,9 +605,15 @@ FrameDecoder::finish() const
         return r;
     }
     r.status = FrameStatus::Malformed;
-    r.diagnostic = state_ == State::Header
-        ? "frame: stream ended inside a header line"
-        : "frame: stream ended inside a declared payload";
+    if (state_ == State::Header)
+        r.diagnostic = "frame: stream ended inside a header line";
+    else if (state_ == State::Drain)
+        r.diagnostic =
+            oversizedDiagnostic(declared_, limits_.maxPayloadBytes);
+    else
+        r.diagnostic = "frame: truncated payload (" +
+            std::to_string(buf_.size() - pos_) + " of " +
+            std::to_string(declared_) + " declared bytes)";
     r.recoverable = false;
     return r;
 }

@@ -236,7 +236,7 @@ struct FrameLimits
     std::size_t maxPayloadBytes = 64 * 1024;
 };
 
-/** Outcome of one readFrame() call. */
+/** Outcome of one FrameDecoder::next() or finish() call. */
 enum class FrameStatus
 {
     Ok,        //!< `payload` holds a complete frame payload.
@@ -269,19 +269,15 @@ std::string encodeFrame(const std::string &payload);
 void writeFrame(std::ostream &out, const std::string &payload,
                 const FrameLimits &limits = FrameLimits{});
 
-/** Read one frame; never throws on hostile input (see FrameResult). */
-FrameResult readFrame(std::istream &in,
-                      const FrameLimits &limits = FrameLimits{});
-
 /**
- * Incremental frame decoder for non-blocking byte sources (the
- * session mux feeds it whatever read() returned).  Mirrors
- * readFrame() - the same header check, the same limits, the same
- * oversized-drain resynchronization - but never blocks: next()
- * yields a frame only once its bytes have all been fed.  Like the
- * stream reader, it cuts a client dribbling an endless
- * newline-free preamble off at the 64-byte header cap with a typed
- * malformed frame instead of growing a buffer forever.
+ * The frame reader.  Incremental, for non-blocking byte sources:
+ * the session mux feeds it whatever read() returned, and next()
+ * yields a frame only once its bytes have all been fed.  It never
+ * throws on hostile input (see FrameResult).  An oversized frame is
+ * drained so the stream resynchronizes, and a client dribbling an
+ * endless newline-free preamble is cut off one byte past the
+ * 64-byte header cap with a typed malformed frame instead of
+ * growing a buffer forever.
  */
 class FrameDecoder
 {
@@ -305,9 +301,11 @@ class FrameDecoder
     bool next(FrameResult *out);
 
     /**
-     * Note end-of-stream.  @return Eof when the decoder sits on a
-     * frame boundary with nothing buffered; Malformed (truncated,
-     * unrecoverable) when the peer hung up mid-frame.
+     * Note end-of-stream; call it once next() returns false.
+     * @return Eof when the decoder sits on a frame boundary with
+     *         nothing buffered; Malformed (unrecoverable) when the
+     *         peer hung up mid-frame, with the byte counts of a
+     *         truncated payload ("12 of 20 declared bytes").
      */
     FrameResult finish() const;
 
@@ -330,6 +328,7 @@ class FrameDecoder
     std::string buf_;
     std::size_t pos_ = 0;      //!< Consumed prefix of buf_.
     std::size_t want_ = 0;     //!< Payload/drain bytes outstanding.
+    std::size_t declared_ = 0; //!< Length the last header declared.
     FrameResult poison_;
 };
 

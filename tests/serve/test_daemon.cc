@@ -11,18 +11,19 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "serve/daemon.hh"
 #include "serve/eval.hh"
+#include "session.hh"
 #include "util/error.hh"
 #include "util/random.hh"
 #include "util/stats.hh"
 
 using namespace tts;
 using namespace tts::serve;
+using namespace tts::servetest;
 
 namespace {
 
@@ -466,37 +467,30 @@ TEST(ServeDaemon, StatsMapUsesTheServeNamespace)
     EXPECT_EQ(map.count("serve.queue_peak"), 1u);
 }
 
+// The ordered reply stream: one stdio-shaped session (a request pipe
+// in, a reply pipe out) through the SessionMux, as `tts_serve stdio`
+// runs it.
+
 TEST(ServeStream, RepliesArriveInRequestOrderWithTypedErrors)
 {
     DaemonConfig config;
     config.workers = 2;
     Daemon daemon(config);
-    std::stringstream in;
-    writeFrame(in, quickRequest());
-    writeFrame(in, "this is not json");
-    writeFrame(in, quickRequest()); // duplicate: cache or coalesce
-    std::stringstream out;
-    const StreamStats stats = serveStream(in, out, daemon);
-    EXPECT_EQ(stats.framesOk, 3u);
-    EXPECT_EQ(stats.framesMalformed, 0u);
-    EXPECT_EQ(stats.repliesWritten, 3u);
-    EXPECT_FALSE(stats.aborted);
+    const std::string wire = encodeFrame(quickRequest()) +
+        encodeFrame("this is not json") +
+        encodeFrame(quickRequest()); // duplicate: cache or coalesce
+    const SessionRun run = serveWire(daemon, MuxOptions{}, wire);
+    EXPECT_EQ(run.stats.framesOk, 3u);
+    EXPECT_EQ(run.stats.framesMalformed, 0u);
+    EXPECT_EQ(run.stats.repliesWritten, 3u);
 
-    FrameResult f1 = readFrame(out);
-    ASSERT_EQ(f1.status, FrameStatus::Ok);
-    const Reply r1 = Reply::fromJson(f1.payload);
-    EXPECT_TRUE(r1.ok);
-    FrameResult f2 = readFrame(out);
-    ASSERT_EQ(f2.status, FrameStatus::Ok);
-    const Reply r2 = Reply::fromJson(f2.payload);
-    ASSERT_FALSE(r2.ok);
-    EXPECT_EQ(r2.error, ErrorKind::Malformed);
-    FrameResult f3 = readFrame(out);
-    ASSERT_EQ(f3.status, FrameStatus::Ok);
-    const Reply r3 = Reply::fromJson(f3.payload);
-    EXPECT_TRUE(r3.ok);
-    EXPECT_EQ(r3.result, r1.result);
-    EXPECT_EQ(readFrame(out).status, FrameStatus::Eof);
+    ASSERT_EQ(run.replies.size(), 3u);
+    EXPECT_TRUE(run.replies[0].ok);
+    ASSERT_FALSE(run.replies[1].ok);
+    EXPECT_EQ(run.replies[1].error, ErrorKind::Malformed);
+    EXPECT_TRUE(run.replies[2].ok);
+    EXPECT_EQ(run.replies[2].result, run.replies[0].result);
+    EXPECT_EQ(run.tail.status, FrameStatus::Eof);
 }
 
 TEST(ServeStream, OversizedFrameGetsAnErrorReplyAndServiceContinues)
@@ -504,21 +498,18 @@ TEST(ServeStream, OversizedFrameGetsAnErrorReplyAndServiceContinues)
     DaemonConfig config;
     config.workers = 1;
     Daemon daemon(config);
-    StreamOptions options;
+    MuxOptions options;
     options.limits.maxPayloadBytes = 512;
-    std::stringstream in;
-    in << "tts-frame 1000\n" << std::string(1000, 'x');
-    writeFrame(in, quickRequest(), FrameLimits{512});
-    std::stringstream out;
-    const StreamStats stats = serveStream(in, out, daemon, options);
-    EXPECT_EQ(stats.framesMalformed, 1u);
-    EXPECT_EQ(stats.framesOk, 1u);
-    EXPECT_FALSE(stats.aborted);
-    const Reply r1 = Reply::fromJson(readFrame(out).payload);
-    ASSERT_FALSE(r1.ok);
-    EXPECT_EQ(r1.error, ErrorKind::Malformed);
-    const Reply r2 = Reply::fromJson(readFrame(out).payload);
-    EXPECT_TRUE(r2.ok) << r2.detail;
+    const std::string wire = "tts-frame 1000\n" +
+        std::string(1000, 'x') + encodeFrame(quickRequest());
+    const SessionRun run = serveWire(daemon, options, wire);
+    EXPECT_EQ(run.stats.framesMalformed, 1u);
+    EXPECT_EQ(run.stats.framesOk, 1u);
+    ASSERT_EQ(run.replies.size(), 2u);
+    ASSERT_FALSE(run.replies[0].ok);
+    EXPECT_EQ(run.replies[0].error, ErrorKind::Malformed);
+    EXPECT_TRUE(run.replies[1].ok) << run.replies[1].detail;
+    EXPECT_EQ(run.tail.status, FrameStatus::Eof);
 }
 
 TEST(ServeStream, UnrecoverableFrameEndsTheSessionAfterTheReply)
@@ -526,16 +517,17 @@ TEST(ServeStream, UnrecoverableFrameEndsTheSessionAfterTheReply)
     DaemonConfig config;
     config.workers = 1;
     Daemon daemon(config);
-    std::stringstream in;
-    writeFrame(in, quickRequest());
-    in << "tts-frame 50\nshort"; // truncated: unrecoverable
-    std::stringstream out;
-    const StreamStats stats = serveStream(in, out, daemon);
-    EXPECT_TRUE(stats.aborted);
-    EXPECT_EQ(stats.repliesWritten, 2u);
-    const Reply r1 = Reply::fromJson(readFrame(out).payload);
-    EXPECT_TRUE(r1.ok);
-    const Reply r2 = Reply::fromJson(readFrame(out).payload);
-    ASSERT_FALSE(r2.ok);
-    EXPECT_EQ(r2.error, ErrorKind::Malformed);
+    // Truncated: unrecoverable.  Nothing after it is read.
+    const std::string wire = encodeFrame(quickRequest()) +
+        "tts-frame 50\nshort";
+    const SessionRun run = serveWire(daemon, MuxOptions{}, wire);
+    EXPECT_EQ(run.stats.repliesWritten, 2u);
+    ASSERT_EQ(run.replies.size(), 2u);
+    EXPECT_TRUE(run.replies[0].ok);
+    ASSERT_FALSE(run.replies[1].ok);
+    EXPECT_EQ(run.replies[1].error, ErrorKind::Malformed);
+    EXPECT_NE(run.replies[1].detail.find("5 of 50 declared bytes"),
+              std::string::npos)
+        << run.replies[1].detail;
+    EXPECT_EQ(run.tail.status, FrameStatus::Eof);
 }

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -26,10 +27,12 @@
 #include "serve/fault.hh"
 #include "serve/mux.hh"
 #include "serve/protocol.hh"
+#include "session.hh"
 #include "util/random.hh"
 
 using namespace tts;
 using namespace tts::serve;
+using namespace tts::servetest;
 
 namespace {
 
@@ -55,53 +58,6 @@ struct Pair
             ::close(mine);
     }
 };
-
-/** Blocking full write of one framed payload to `fd`. */
-void
-sendFrame(int fd, const std::string &payload)
-{
-    std::string wire = "tts-frame ";
-    wire += std::to_string(payload.size());
-    wire += '\n';
-    wire += payload;
-    std::size_t off = 0;
-    while (off < wire.size()) {
-        const ssize_t n =
-            ::write(fd, wire.data() + off, wire.size() - off);
-        ASSERT_GT(n, 0) << std::strerror(errno);
-        off += static_cast<std::size_t>(n);
-    }
-}
-
-/** Blocking read of one reply frame from `fd`. */
-Reply
-recvReply(int fd)
-{
-    auto readByte = [&](char *c) {
-        const ssize_t n = ::read(fd, c, 1);
-        if (n != 1)
-            throw Error("reply stream ended early");
-        return true;
-    };
-    std::string header;
-    char c = 0;
-    while (readByte(&c) && c != '\n')
-        header.push_back(c);
-    const std::string tag = "tts-frame ";
-    if (header.compare(0, tag.size(), tag) != 0)
-        throw Error("bad reply header: " + header);
-    const std::size_t len = std::stoul(header.substr(tag.size()));
-    std::string payload(len, '\0');
-    std::size_t off = 0;
-    while (off < len) {
-        const ssize_t n =
-            ::read(fd, &payload[off], len - off);
-        if (n <= 0)
-            throw Error("reply payload ended early");
-        off += static_cast<std::size_t>(n);
-    }
-    return Reply::fromJson(payload);
-}
 
 /** The session request pool: cheap distinct outage studies. */
 std::vector<std::string>
@@ -169,6 +125,110 @@ TEST(ServeMux, SingleSessionRoundTripsInOrder)
     EXPECT_EQ(stats.framesOk, pool.size());
     EXPECT_EQ(stats.repliesWritten, pool.size());
     EXPECT_EQ(stats.repliesDiscarded, 0u);
+}
+
+TEST(ServeMux, PipelinedBurstStaysInsideTheWindow)
+{
+    // Eight times the admission queue, pipelined in one write.  The
+    // window holds the session to four outstanding requests and the
+    // rest wait in its decoder, so nothing is shed and the queue
+    // never holds more than the window.
+    DaemonConfig config;
+    config.workers = 1;
+    config.queueCapacity = 8;
+    Daemon daemon(config);
+    const std::vector<std::string> pool = outagePool(8);
+    std::string wire;
+    for (std::size_t round = 0; round < 8; ++round)
+        for (const std::string &doc : pool)
+            wire += encodeFrame(doc);
+    const std::size_t requests = 8 * pool.size();
+    ASSERT_GE(requests, 4 * config.queueCapacity);
+
+    MuxOptions options;
+    options.pipelineWindow = 4;
+    options.exitAfterSessions = 1;
+    MuxRunner runner(daemon, options);
+    Pair pair;
+    runner.mux.adopt(pair.mux);
+    ASSERT_EQ(::write(pair.mine, wire.data(), wire.size()),
+              static_cast<ssize_t>(wire.size()));
+    ::shutdown(pair.mine, SHUT_WR);
+    for (std::size_t i = 0; i < requests; ++i) {
+        const Reply r = recvReply(pair.mine);
+        ASSERT_TRUE(r.ok) << "reply " << i << ": " << r.detail;
+    }
+    runner.thread.join();
+    const DaemonStats stats = daemon.stats();
+    EXPECT_EQ(stats.shed, 0u);
+    EXPECT_LE(stats.queuePeak, options.pipelineWindow);
+    EXPECT_EQ(runner.mux.stats().repliesWritten, requests);
+}
+
+TEST(ServeMux, UnreadRepliesHoldASessionToOneWindow)
+{
+    // The client pipelines 64 requests and reads nothing.  Once the
+    // reply pipe is full, replies framed but unsent count against
+    // the window, so the session stops taking frames instead of
+    // buffering every reply.
+    DaemonConfig config;
+    config.workers = 2;
+    Daemon daemon(config);
+    const std::vector<std::string> pool = outagePool(8);
+    std::vector<Result> baseline;
+    for (const std::string &doc : pool)
+        baseline.push_back(evaluate(parseRequest(doc)));
+    std::string wire;
+    for (std::size_t round = 0; round < 8; ++round)
+        for (const std::string &doc : pool)
+            wire += encodeFrame(doc);
+    const std::size_t requests = 8 * pool.size();
+
+    int requestPipe[2];
+    int replyPipe[2];
+    ASSERT_EQ(::pipe(requestPipe), 0);
+    ASSERT_EQ(::pipe(replyPipe), 0);
+    // One page holds a handful of replies, far fewer than 64.
+    ASSERT_GT(::fcntl(replyPipe[1], F_SETPIPE_SZ, 4096), 0)
+        << std::strerror(errno);
+    ASSERT_TRUE(writeAll(requestPipe[1], wire));
+    ::close(requestPipe[1]);
+
+    MuxOptions options;
+    options.pipelineWindow = 4;
+    options.exitAfterSessions = 1;
+    MuxRunner runner(daemon, options);
+    runner.mux.adopt(requestPipe[0], replyPipe[1]);
+    // Wait for the session to stall: every dispatched request
+    // answered and the counters still for 200 ms.
+    MuxStats stalled;
+    for (int still = 0; still < 40;) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        const MuxStats now = runner.mux.stats();
+        const DaemonStats d = daemon.stats();
+        const bool idle = d.repliesOk + d.repliesError == d.submitted;
+        still = idle && now.framesOk == stalled.framesOk &&
+                now.repliesWritten == stalled.repliesWritten
+            ? still + 1
+            : 0;
+        stalled = now;
+        if (now.framesOk == requests)
+            break;
+    }
+    EXPECT_LT(stalled.framesOk, requests)
+        << "the session took every frame with no reader";
+    EXPECT_LE(stalled.framesOk - stalled.repliesWritten,
+              options.pipelineWindow);
+
+    // Reading resumes the session: every reply arrives, in order.
+    for (std::size_t i = 0; i < requests; ++i) {
+        const Reply r = recvReply(replyPipe[0]);
+        ASSERT_TRUE(r.ok) << "reply " << i << ": " << r.detail;
+        EXPECT_EQ(r.result, baseline[i % pool.size()]);
+    }
+    runner.thread.join();
+    ::close(replyPipe[0]);
+    EXPECT_EQ(runner.mux.stats().repliesWritten, requests);
 }
 
 TEST(ServeMux, MalformedFramesGetTypedRepliesInTheirSlots)
@@ -341,6 +401,9 @@ runMultiClientSoak(std::size_t sessions, std::size_t workers)
     Daemon daemon(config, plan);
     MuxOptions options;
     options.maxSessions = sessions;
+    // Every session's window fits in the admission queue at once,
+    // so no request is shed and each garbage slot is malformed.
+    options.pipelineWindow = config.queueCapacity / sessions;
     options.exitAfterSessions = sessions;
     MuxRunner runner(daemon, options);
 
@@ -440,6 +503,7 @@ runMultiClientSoak(std::size_t sessions, std::size_t workers)
     const DaemonStats stats = daemon.stats();
     EXPECT_EQ(stats.repliesOk + stats.repliesError,
               stats.submitted);
+    EXPECT_EQ(stats.shed, 0u);
     EXPECT_EQ(stats.workerFailed, 0u);
     EXPECT_EQ(daemon.cacheCounters().collisions, 0u);
 }

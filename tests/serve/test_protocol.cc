@@ -8,11 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <iterator>
 #include <sstream>
-#include <streambuf>
-#include <thread>
+#include <vector>
 
 #include "cache/fingerprint.hh"
 #include "serve/protocol.hh"
@@ -404,30 +402,73 @@ TEST(ServeProtocol, NonDottedResultKeyIsAnInvariantViolation)
     EXPECT_THROW(r.toJson(), PanicError);
 }
 
+namespace {
+
+/** @return @p payload framed by writeFrame(). */
+std::string
+framed(const std::string &payload,
+       const FrameLimits &limits = FrameLimits{})
+{
+    std::ostringstream out;
+    writeFrame(out, payload, limits);
+    return out.str();
+}
+
+/**
+ * Feed @p wire to one FrameDecoder @p chunk bytes at a time (0 = all
+ * at once), the way the session mux feeds it reads, and collect every
+ * result.  The last entry is finish()'s verdict on the end of the
+ * stream, unless an unrecoverable frame stopped the stream first.
+ */
+std::vector<FrameResult>
+decodeAll(const std::string &wire,
+          const FrameLimits &limits = FrameLimits{},
+          std::size_t chunk = 0)
+{
+    FrameDecoder decoder(limits);
+    std::vector<FrameResult> got;
+    if (chunk == 0)
+        chunk = wire.size();
+    std::size_t off = 0;
+    do {
+        const std::size_t n = std::min(chunk, wire.size() - off);
+        decoder.feed(wire.data() + off, n);
+        off += n;
+        FrameResult r;
+        while (decoder.next(&r)) {
+            got.push_back(r);
+            if (r.status == FrameStatus::Malformed && !r.recoverable)
+                return got;
+        }
+    } while (off < wire.size());
+    got.push_back(decoder.finish());
+    return got;
+}
+
+} // namespace
+
 TEST(ServeFraming, RoundTripsArbitraryPayloadBytes)
 {
-    std::stringstream s;
     const char raw[] = "line one\nline two\n\x00\x01\xfe binary";
     const std::string payload(raw, sizeof(raw) - 1);
-    writeFrame(s, payload);
-    writeFrame(s, "");
-    writeFrame(s, "{\"study\": \"cooling\"}");
-    FrameResult a = readFrame(s);
-    ASSERT_EQ(a.status, FrameStatus::Ok);
-    EXPECT_EQ(a.payload, payload);
-    FrameResult b = readFrame(s);
-    ASSERT_EQ(b.status, FrameStatus::Ok);
-    EXPECT_EQ(b.payload, "");
-    FrameResult c = readFrame(s);
-    ASSERT_EQ(c.status, FrameStatus::Ok);
-    EXPECT_EQ(c.payload, "{\"study\": \"cooling\"}");
-    EXPECT_EQ(readFrame(s).status, FrameStatus::Eof);
+    const std::vector<FrameResult> got = decodeAll(
+        framed(payload) + framed("") +
+        framed("{\"study\": \"cooling\"}"));
+    ASSERT_EQ(got.size(), 4u);
+    ASSERT_EQ(got[0].status, FrameStatus::Ok);
+    EXPECT_EQ(got[0].payload, payload);
+    ASSERT_EQ(got[1].status, FrameStatus::Ok);
+    EXPECT_EQ(got[1].payload, "");
+    ASSERT_EQ(got[2].status, FrameStatus::Ok);
+    EXPECT_EQ(got[2].payload, "{\"study\": \"cooling\"}");
+    EXPECT_EQ(got[3].status, FrameStatus::Eof);
 }
 
 TEST(ServeFraming, EmptyStreamIsCleanEof)
 {
-    std::stringstream s;
-    EXPECT_EQ(readFrame(s).status, FrameStatus::Eof);
+    const std::vector<FrameResult> got = decodeAll("");
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].status, FrameStatus::Eof);
 }
 
 TEST(ServeFraming, BadHeadersAreMalformedAndUnrecoverable)
@@ -441,11 +482,11 @@ TEST(ServeFraming, BadHeadersAreMalformedAndUnrecoverable)
         "tts-frame 99999999999999999999999999\n",
     };
     for (const char *header : bad) {
-        std::stringstream s(header);
-        FrameResult r = readFrame(s);
-        EXPECT_EQ(r.status, FrameStatus::Malformed) << header;
-        EXPECT_FALSE(r.recoverable) << header;
-        EXPECT_FALSE(r.diagnostic.empty()) << header;
+        const std::vector<FrameResult> got = decodeAll(header);
+        ASSERT_EQ(got.size(), 1u) << header;
+        EXPECT_EQ(got[0].status, FrameStatus::Malformed) << header;
+        EXPECT_FALSE(got[0].recoverable) << header;
+        EXPECT_FALSE(got[0].diagnostic.empty()) << header;
     }
 }
 
@@ -453,86 +494,79 @@ TEST(ServeFraming, OversizedFrameIsDrainedAndRecoverable)
 {
     FrameLimits limits;
     limits.maxPayloadBytes = 16;
-    std::stringstream s;
-    s << "tts-frame 64\n" << std::string(64, 'x');
-    writeFrame(s, "after", limits);
-
-    FrameResult big = readFrame(s, limits);
-    EXPECT_EQ(big.status, FrameStatus::Malformed);
-    EXPECT_TRUE(big.recoverable);
-    EXPECT_NE(big.diagnostic.find("exceeds"), std::string::npos);
+    const std::vector<FrameResult> got = decodeAll(
+        "tts-frame 64\n" + std::string(64, 'x') +
+            framed("after", limits),
+        limits);
+    ASSERT_EQ(got.size(), 3u);
+    EXPECT_EQ(got[0].status, FrameStatus::Malformed);
+    EXPECT_TRUE(got[0].recoverable);
+    EXPECT_NE(got[0].diagnostic.find("payload of 64 bytes exceeds"),
+              std::string::npos)
+        << got[0].diagnostic;
 
     // The oversized payload was drained; the stream is resynced.
-    FrameResult next = readFrame(s, limits);
-    ASSERT_EQ(next.status, FrameStatus::Ok);
-    EXPECT_EQ(next.payload, "after");
+    ASSERT_EQ(got[1].status, FrameStatus::Ok);
+    EXPECT_EQ(got[1].payload, "after");
+    EXPECT_EQ(got[2].status, FrameStatus::Eof);
 }
 
 TEST(ServeFraming, OversizedFrameOnATruncatedStreamIsUnrecoverable)
 {
     FrameLimits limits;
     limits.maxPayloadBytes = 16;
-    std::stringstream s;
-    s << "tts-frame 64\n" << std::string(10, 'x');
-    FrameResult r = readFrame(s, limits);
-    EXPECT_EQ(r.status, FrameStatus::Malformed);
-    EXPECT_FALSE(r.recoverable);
+    const std::vector<FrameResult> got =
+        decodeAll("tts-frame 64\n" + std::string(10, 'x'), limits);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].status, FrameStatus::Malformed);
+    EXPECT_FALSE(got[0].recoverable);
 }
 
 TEST(ServeFraming, TruncatedPayloadIsMalformedWithByteCounts)
 {
-    std::stringstream s;
-    s << "tts-frame 20\nonly twelve!";
-    FrameResult r = readFrame(s);
-    EXPECT_EQ(r.status, FrameStatus::Malformed);
-    EXPECT_FALSE(r.recoverable);
-    EXPECT_NE(r.diagnostic.find("12 of 20"), std::string::npos)
-        << r.diagnostic;
+    const std::vector<FrameResult> got =
+        decodeAll("tts-frame 20\nonly twelve!");
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].status, FrameStatus::Malformed);
+    EXPECT_FALSE(got[0].recoverable);
+    EXPECT_NE(got[0].diagnostic.find("12 of 20 declared bytes"),
+              std::string::npos)
+        << got[0].diagnostic;
 }
 
 TEST(ServeFraming, PayloadExactlyAtTheLimitIsAccepted)
 {
     FrameLimits limits;
     limits.maxPayloadBytes = 8;
-    std::stringstream s;
-    writeFrame(s, "12345678", limits);
-    EXPECT_EQ(readFrame(s, limits).status, FrameStatus::Ok);
-    EXPECT_THROW(writeFrame(s, "123456789", limits), FatalError);
+    const std::vector<FrameResult> got =
+        decodeAll(framed("12345678", limits), limits);
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].status, FrameStatus::Ok);
+    EXPECT_EQ(got[0].payload, "12345678");
+    std::ostringstream out;
+    EXPECT_THROW(writeFrame(out, "123456789", limits), FatalError);
 }
 
 namespace {
 
-/** @return @p payload framed by writeFrame(). */
-std::string
-framed(const std::string &payload)
-{
-    std::ostringstream out;
-    writeFrame(out, payload);
-    return out.str();
-}
-
 /**
- * Expect readFrame() and FrameDecoder to refuse the first header of
- * @p wire outright - unrecoverable, with the same diagnostic
- * containing @p why - rather than read a length from it.
+ * Expect the decoder to refuse the first header of @p wire outright
+ * - unrecoverable, with a diagnostic containing @p why - rather than
+ * read a length from it, both when the wire arrives in one read and
+ * when it dribbles in a byte at a time.
  */
 void
 expectHeaderRejected(const std::string &wire, const std::string &why)
 {
-    std::istringstream in(wire);
-    const FrameResult stream = readFrame(in);
-    EXPECT_EQ(stream.status, FrameStatus::Malformed) << wire;
-    EXPECT_FALSE(stream.recoverable) << wire;
-    EXPECT_NE(stream.diagnostic.find(why), std::string::npos)
-        << stream.diagnostic;
-
-    FrameDecoder decoder;
-    decoder.feed(wire.data(), wire.size());
-    FrameResult fed;
-    ASSERT_TRUE(decoder.next(&fed)) << wire;
-    EXPECT_EQ(fed.status, FrameStatus::Malformed) << wire;
-    EXPECT_FALSE(fed.recoverable) << wire;
-    EXPECT_EQ(fed.diagnostic, stream.diagnostic);
+    for (std::size_t chunk : {std::size_t{0}, std::size_t{1}}) {
+        const std::vector<FrameResult> got =
+            decodeAll(wire, FrameLimits{}, chunk);
+        ASSERT_EQ(got.size(), 1u) << wire;
+        EXPECT_EQ(got[0].status, FrameStatus::Malformed) << wire;
+        EXPECT_FALSE(got[0].recoverable) << wire;
+        EXPECT_NE(got[0].diagnostic.find(why), std::string::npos)
+            << got[0].diagnostic;
+    }
 }
 
 } // namespace
@@ -558,17 +592,15 @@ TEST(ServeFraming, HeadersPastTheCapAreRejectedByBothReaders)
     const std::string tag = "tts-frame ";
     const std::string at_cap = tag + std::string(53, '0') + "5\n";
     ASSERT_EQ(at_cap.size(), 64u + 1u);
-    std::istringstream in(at_cap + "hello");
-    const FrameResult stream = readFrame(in);
-    ASSERT_EQ(stream.status, FrameStatus::Ok) << stream.diagnostic;
-    EXPECT_EQ(stream.payload, "hello");
-    FrameDecoder decoder;
-    decoder.feed(at_cap.data(), at_cap.size());
-    decoder.feed("hello", 5);
-    FrameResult fed;
-    ASSERT_TRUE(decoder.next(&fed));
-    ASSERT_EQ(fed.status, FrameStatus::Ok) << fed.diagnostic;
-    EXPECT_EQ(fed.payload, "hello");
+    for (std::size_t chunk : {std::size_t{0}, std::size_t{1}}) {
+        const std::vector<FrameResult> got =
+            decodeAll(at_cap + "hello", FrameLimits{}, chunk);
+        ASSERT_EQ(got.size(), 2u);
+        ASSERT_EQ(got[0].status, FrameStatus::Ok)
+            << got[0].diagnostic;
+        EXPECT_EQ(got[0].payload, "hello");
+        EXPECT_EQ(got[1].status, FrameStatus::Eof);
+    }
 
     expectHeaderRejected(tag + std::string(54, '0') + "5\n" +
                              framed("hello"),
@@ -578,73 +610,33 @@ TEST(ServeFraming, HeadersPastTheCapAreRejectedByBothReaders)
 TEST(ServeFraming, StreamReaderStopsReadingAtTheHeaderCap)
 {
     // A newline-free preamble must not be buffered in full: the
-    // reader gives up one byte past the 64-byte cap.
-    std::istringstream in("tts-frame " + std::string(100000, '1'));
-    const FrameResult r = readFrame(in);
+    // decoder gives up one byte past the 64-byte cap, and keeps
+    // nothing fed after that.
+    const std::string wire = "tts-frame " + std::string(100000, '1');
+    FrameDecoder decoder;
+    FrameResult r;
+    std::size_t fed = 0;
+    while (fed < wire.size() && !decoder.next(&r))
+        decoder.feed(&wire[fed++], 1);
+    EXPECT_EQ(fed, 65u);
     EXPECT_EQ(r.status, FrameStatus::Malformed);
     EXPECT_FALSE(r.recoverable);
-    EXPECT_NE(r.diagnostic.find("exceeds 64 bytes"),
-              std::string::npos)
+    EXPECT_NE(r.diagnostic.find("exceeds 64 bytes"), std::string::npos)
         << r.diagnostic;
-    EXPECT_EQ(in.tellg(), std::streampos(65));
+    decoder.feed(wire.data() + fed, wire.size() - fed);
+    EXPECT_EQ(decoder.buffered(), 65u);
 }
-
-namespace {
-
-/**
- * A streambuf that dribbles its string out a few bytes per
- * underflow, stalling once mid-payload - the slow-client shape.
- */
-class DribbleBuf : public std::streambuf
-{
-  public:
-    DribbleBuf(std::string text, std::size_t chunk, double stall_ms)
-        : text_(std::move(text)), chunk_(chunk),
-          stallMs_(stall_ms)
-    {
-    }
-
-  protected:
-    int_type underflow() override
-    {
-        if (pos_ >= text_.size())
-            return traits_type::eof();
-        if (!stalled_ && pos_ >= text_.size() / 2) {
-            stalled_ = true;
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(
-                    stallMs_));
-        }
-        const std::size_t n =
-            std::min(chunk_, text_.size() - pos_);
-        setg(text_.data() + pos_, text_.data() + pos_,
-             text_.data() + pos_ + n);
-        pos_ += n;
-        return traits_type::to_int_type(*gptr());
-    }
-
-  private:
-    std::string text_;
-    std::size_t chunk_;
-    double stallMs_;
-    std::size_t pos_ = 0;
-    bool stalled_ = false;
-};
-
-} // namespace
 
 TEST(ServeFraming, SlowClientDribbleStillDeliversCompleteFrames)
 {
-    std::ostringstream wire;
-    writeFrame(wire, "{\"study\": \"cooling\"}");
-    writeFrame(wire, "{\"study\": \"outage\"}");
-    DribbleBuf buf(wire.str(), 3, 2.0);
-    std::istream in(&buf);
-    FrameResult a = readFrame(in);
-    ASSERT_EQ(a.status, FrameStatus::Ok);
-    EXPECT_EQ(a.payload, "{\"study\": \"cooling\"}");
-    FrameResult b = readFrame(in);
-    ASSERT_EQ(b.status, FrameStatus::Ok);
-    EXPECT_EQ(b.payload, "{\"study\": \"outage\"}");
-    EXPECT_EQ(readFrame(in).status, FrameStatus::Eof);
+    const std::vector<FrameResult> got =
+        decodeAll(framed("{\"study\": \"cooling\"}") +
+                      framed("{\"study\": \"outage\"}"),
+                  FrameLimits{}, 3);
+    ASSERT_EQ(got.size(), 3u);
+    ASSERT_EQ(got[0].status, FrameStatus::Ok);
+    EXPECT_EQ(got[0].payload, "{\"study\": \"cooling\"}");
+    ASSERT_EQ(got[1].status, FrameStatus::Ok);
+    EXPECT_EQ(got[1].payload, "{\"study\": \"outage\"}");
+    EXPECT_EQ(got[2].status, FrameStatus::Eof);
 }

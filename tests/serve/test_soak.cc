@@ -1,10 +1,10 @@
 /**
  * @file
- * Fault-injection soak: one deterministic hostile session against a
- * live daemon - duplicated scenario requests interleaved with
- * malformed payloads, oversized and truncated frames, and injected
- * worker crashes - asserting the robustness invariants the serving
- * layer promises:
+ * Fault-injection soak: one deterministic hostile session through the
+ * session mux against a live daemon - duplicated scenario requests
+ * interleaved with malformed payloads, oversized and truncated
+ * frames, and injected worker crashes - asserting the robustness
+ * invariants the serving layer promises:
  *
  *  - zero crashes: the whole session runs to completion;
  *  - every request is answered or cleanly rejected with a typed
@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -28,14 +29,19 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "cache/result_cache.hh"
 #include "serve/daemon.hh"
 #include "serve/eval.hh"
+#include "serve/mux.hh"
+#include "session.hh"
 #include "util/error.hh"
 #include "util/random.hh"
 
 using namespace tts;
 using namespace tts::serve;
+using namespace tts::servetest;
 
 namespace {
 
@@ -125,7 +131,7 @@ runSoak(std::size_t workers)
     FrameLimits limits;
     limits.maxPayloadBytes = 2048;
     Rng pick = Rng::forStream(profile.seed, 9001);
-    std::ostringstream wire;
+    std::string wire;
     std::vector<int> slots;
     std::size_t truncated_sessions = 0;
     for (std::size_t i = 0; i < kRequests; ++i) {
@@ -137,21 +143,18 @@ runSoak(std::size_t workers)
           case RequestFault::Disconnect: {
             const int which =
                 static_cast<int>(pick.uniformInt(pool.size()));
-            writeFrame(wire, pool[static_cast<std::size_t>(which)],
-                       limits);
+            wire += encodeFrame(pool[static_cast<std::size_t>(which)]);
             slots.push_back(which);
             break;
           }
           case RequestFault::Malformed:
-            writeFrame(wire,
-                       kMalformedPool[i % std::size(kMalformedPool)],
-                       limits);
+            wire += encodeFrame(
+                kMalformedPool[i % std::size(kMalformedPool)]);
             slots.push_back(-1);
             break;
           case RequestFault::Oversized:
-            wire << "tts-frame " << (limits.maxPayloadBytes + 32)
-                 << "\n"
-                 << std::string(limits.maxPayloadBytes + 32, 'x');
+            wire += encodeFrame(
+                std::string(limits.maxPayloadBytes + 32, 'x'));
             slots.push_back(-1);
             break;
           case RequestFault::Truncated:
@@ -160,30 +163,23 @@ runSoak(std::size_t workers)
         }
     }
 
-    StreamOptions options;
+    MuxOptions options;
     options.limits = limits;
     // Let the client overrun admission so the overloaded rung of
     // the ladder is reachable under real pressure.
     options.pipelineWindow = 32;
-    std::istringstream in(wire.str());
-    std::ostringstream out;
-    const StreamStats ss = serveStream(in, out, daemon, options);
-    EXPECT_FALSE(ss.aborted);
-    EXPECT_EQ(ss.framesMalformed,
+    const SessionRun run = serveWire(daemon, options, wire, true);
+    EXPECT_EQ(run.stats.framesMalformed,
               plan.countOf(RequestFault::Oversized));
-    EXPECT_EQ(ss.repliesWritten, slots.size());
+    EXPECT_EQ(run.stats.repliesWritten, slots.size());
 
     // Every slot got exactly one reply, in order, and each reply is
     // either bit-identical to the baseline or a typed rejection.
-    std::istringstream replies(out.str());
-    FrameLimits reply_limits;
-    reply_limits.maxPayloadBytes = 1u << 20;
+    ASSERT_EQ(run.replies.size(), slots.size());
     std::size_t ok_replies = 0;
     std::size_t overloaded = 0;
     for (std::size_t k = 0; k < slots.size(); ++k) {
-        const FrameResult f = readFrame(replies, reply_limits);
-        ASSERT_EQ(f.status, FrameStatus::Ok) << "reply " << k;
-        const Reply r = Reply::fromJson(f.payload);
+        const Reply &r = run.replies[k];
         if (slots[k] < 0) {
             ASSERT_FALSE(r.ok) << "garbage slot " << k
                                << " got an ok reply";
@@ -214,24 +210,18 @@ runSoak(std::size_t workers)
             ++overloaded;
         }
     }
-    EXPECT_EQ(readFrame(replies, reply_limits).status,
-              FrameStatus::Eof);
+    EXPECT_EQ(run.tail.status, FrameStatus::Eof);
     EXPECT_GT(ok_replies, 0u);
 
     // Truncated frames get their own sessions: each is answered
     // with a typed error, then the (unrecoverable) session ends.
     for (std::size_t t = 0; t < truncated_sessions; ++t) {
-        std::istringstream bad_in("tts-frame 64\nonly-a-few-bytes");
-        std::ostringstream bad_out;
-        const StreamStats bs =
-            serveStream(bad_in, bad_out, daemon, options);
-        EXPECT_TRUE(bs.aborted);
-        EXPECT_EQ(bs.repliesWritten, 1u);
-        std::istringstream bad_replies(bad_out.str());
-        const Reply r = Reply::fromJson(
-            readFrame(bad_replies, reply_limits).payload);
-        ASSERT_FALSE(r.ok);
-        EXPECT_EQ(r.error, ErrorKind::Malformed);
+        const SessionRun bad = serveWire(
+            daemon, options, "tts-frame 64\nonly-a-few-bytes", true);
+        EXPECT_EQ(bad.stats.repliesWritten, 1u);
+        ASSERT_EQ(bad.replies.size(), 1u);
+        ASSERT_FALSE(bad.replies[0].ok);
+        EXPECT_EQ(bad.replies[0].error, ErrorKind::Malformed);
     }
 
     // Accounting invariants: everything submitted was answered,
@@ -290,54 +280,47 @@ runSoak(std::size_t workers)
     std::remove((config.cache.path + ".corrupt").c_str());
 }
 
-/** An output sink that dies after `budget` bytes, like a client
- *  whose socket closed mid-pipeline. */
-struct FailAfterBuf : std::streambuf
-{
-    explicit FailAfterBuf(std::size_t budget) : budget_(budget) {}
-
-    int
-    overflow(int ch) override
-    {
-        if (budget_ == 0)
-            return traits_type::eof();
-        --budget_;
-        return ch;
-    }
-
-  private:
-    std::size_t budget_;
-};
-
 } // namespace
 
 TEST(ServeSoak, ClientDisconnectMidPipelineDoesNotPoisonTheWorkers)
 {
-    // Eight requests pipelined four deep; the client vanishes while
-    // the first reply is going out.  The session must abort cleanly,
-    // every accepted evaluation must still complete (warming the
-    // shared cache), and the worker pool must stay healthy.
+    // Eight requests pipelined four deep on a stdio-shaped session;
+    // the client closes its reply pipe before the first reply.  The
+    // session must end cleanly, every accepted evaluation must still
+    // complete (warming the shared cache), and the worker pool must
+    // stay healthy.
     const std::vector<std::string> pool = requestPool();
     DaemonConfig config;
     config.workers = 4;
     config.queueCapacity = 16;
     Daemon daemon(config);
 
-    std::ostringstream wire;
+    std::signal(SIGPIPE, SIG_IGN); // The failed write marks it dead.
+    int requests[2];
+    int replies[2];
+    ASSERT_EQ(::pipe(requests), 0);
+    ASSERT_EQ(::pipe(replies), 0);
+    std::string wire;
     for (std::size_t i = 0; i < 8; ++i)
-        writeFrame(wire, pool[i]);
-    std::istringstream in(wire.str());
-    FailAfterBuf sink(8); // dies inside the first reply frame
-    std::ostream out(&sink);
-    StreamOptions options;
+        wire += encodeFrame(pool[i]);
+    ASSERT_TRUE(writeAll(requests[1], wire));
+    ::close(requests[1]);
+    ::close(replies[0]); // The client is gone before any reply.
+
+    MuxOptions options;
     options.pipelineWindow = 4;
-    const StreamStats ss = serveStream(in, out, daemon, options);
-    EXPECT_TRUE(ss.aborted);
-    EXPECT_EQ(ss.framesOk, 4u) << "kept reading a dead client";
-    EXPECT_LE(ss.repliesWritten, 1u);
+    options.exitAfterSessions = 1;
+    SessionMux mux(daemon, options);
+    mux.adopt(requests[0], replies[1]);
+    mux.run();
+    const MuxStats ms = mux.stats();
+    EXPECT_EQ(ms.framesOk, 4u) << "kept reading a dead client";
+    EXPECT_EQ(ms.repliesWritten, 0u);
+    EXPECT_EQ(ms.repliesDiscarded, 4u);
 
     // Nothing was orphaned: every accepted request was answered
     // (into the void), none fell off the ladder.
+    daemon.drain();
     const DaemonStats stats = daemon.stats();
     EXPECT_EQ(stats.submitted, 4u);
     EXPECT_EQ(stats.repliesOk + stats.repliesError,

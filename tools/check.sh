@@ -14,7 +14,8 @@
 #     threads, the DCSim tests, and the multi-client socket soak.
 #  3. ASan+UBSan tree (build-asan/, TTS_SANITIZE=address): the guard
 #     and util suites, cluster and fleet save/restore, the thermal
-#     kernel, and plant kill/resume.
+#     kernel, plant kill/resume, and the serve parsers (frames,
+#     requests, manifests).
 #
 # Wall-clock performance is not gated here: perfbench/ (see
 # BENCHMARK.json) times the fleet, opt and serve paths.
@@ -100,6 +101,8 @@ TTS_THREADS=8 ./build-tsan/tests/tts_opt_test
 echo "== TSan: cooling-plant backends + MPC, 8 threads =="
 TTS_THREADS=8 ./build-tsan/tests/tts_plant_test
 echo "== TSan: scenario daemon + fault-injection soak, 8 workers =="
+# The hostile soak is a session of the mux, the one session loop, so
+# this lane races the mux as well as the daemon.
 TTS_THREADS=8 ./build-tsan/tests/tts_serve_test
 echo "== TSan: multi-client socket soak, 8 sessions x 8 workers =="
 # The mux/batcher/daemon stack under its most concurrent test: 8
@@ -115,7 +118,8 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTTS_SANITIZE=address > /dev/null
 cmake --build build-asan -j \
     --target tts_guard_test tts_util_test tts_workload_test \
-    tts_thermal_test tts_fleet_test tts_plant_test > /dev/null
+    tts_thermal_test tts_fleet_test tts_plant_test \
+    tts_serve_test > /dev/null
 
 echo "== ASan: numerical guard + checkpoint resume + state codecs =="
 ./build-asan/tests/tts_guard_test
@@ -130,5 +134,8 @@ echo "== ASan: fleet checkpoint save/restore + digest oracle =="
     --gtest_filter='FleetCheckpoint.*:-FleetCheckpoint.WarehouseResumeIsBitIdentical'
 echo "== ASan: plant runner kill/resume =="
 ./build-asan/tests/tts_plant_test --gtest_filter='RunPlant.*'
+echo "== ASan: serve parsers (frame decoder, requests, manifests) =="
+./build-asan/tests/tts_serve_test \
+    --gtest_filter='ServeFraming.*:ServeProtocol.*:ServeManifest.*'
 
 echo "OK"

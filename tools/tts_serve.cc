@@ -15,24 +15,25 @@
  *   [--cache-cap=N] [--persist-every=N] [--stats=FILE]
  *   [--manifest=FILE] [--batch-window-ms=D] [--batch-max=N]
  *
- * `stdio` serves length-prefixed request frames from stdin and
- * writes one reply frame per request to stdout, in order - the
+ * `stdio` serves one framed session: length-prefixed request frames
+ * on stdin, one reply frame per request on stdout, in order - the
  * simplest way to drive the daemon from a script or a test harness:
  *
  *   printf 'tts-frame 20\n{"study": "outage"}\n' | tts_serve stdio
  *
  * `socket` listens on a Unix domain socket and serves many
- * concurrent framed sessions on one poll loop (the SessionMux):
- * every connection gets in-order replies, slow clients only slow
- * themselves, and concurrent fleet-backed cache misses batch into
- * shared sweeps.  --once exits after the first session closes,
- * which makes demos and tests self-terminating; --max-sessions
- * bounds concurrency and --window bounds outstanding replies per
- * session.  --manifest=FILE pre-warms the cache from a scenario
- * manifest *before* the socket opens, so the first real client
- * already hits warm entries.  `send` is the matching client: it
- * reads one request document from stdin, frames it, and prints the
- * reply payload.  `call` skips the transport entirely and answers
+ * concurrent framed sessions.  Both modes run the same session loop
+ * (the SessionMux): every session gets in-order replies, slow
+ * clients only slow themselves, and concurrent fleet-backed cache
+ * misses batch into shared sweeps.  --once exits after the first
+ * session closes, which makes demos and tests self-terminating;
+ * --max-sessions bounds concurrency and --window bounds the
+ * requests a session has outstanding (stdio uses the defaults).
+ * --manifest=FILE pre-warms the cache from a scenario manifest
+ * *before* any session opens, so the first real client already hits
+ * warm entries.  `send` is the matching client: it reads one
+ * request document from stdin, frames it, and prints the reply
+ * payload.  `call` skips the transport entirely and answers
  * one request in-process - same parser, same evaluation, same reply
  * JSON - so scripts can smoke-test a request without a daemon.
  *
@@ -44,9 +45,15 @@
  * canonical fingerprint; --cache=FILE persists the cache across
  * restarts through the CRC-protected checkpoint path (a corrupt
  * snapshot is quarantined to FILE.corrupt, never fatal).  --stats
- * dumps lifetime serving counters as kv-json on exit.
+ * dumps lifetime serving counters as kv-json on exit: the daemon's
+ * and the cache's, plus the session loop's in stdio and socket mode.
+ * A reply reader that goes away (`tts_serve stdio | head`) ends its
+ * session, not the process: in-flight work completes, the cache
+ * persists and --stats is written.
  */
 
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -67,59 +74,6 @@
 using namespace tts;
 
 namespace {
-
-/** Minimal streambuf over a POSIX fd (socket connections). */
-class FdBuf : public std::streambuf
-{
-  public:
-    explicit FdBuf(int fd) : fd_(fd)
-    {
-        setg(in_, in_, in_);
-        setp(out_, out_ + sizeof(out_));
-    }
-
-    ~FdBuf() override { sync(); }
-
-  protected:
-    int_type underflow() override
-    {
-        const ssize_t n = ::read(fd_, in_, sizeof(in_));
-        if (n <= 0)
-            return traits_type::eof();
-        setg(in_, in_, in_ + n);
-        return traits_type::to_int_type(*gptr());
-    }
-
-    int_type overflow(int_type c) override
-    {
-        if (sync() != 0)
-            return traits_type::eof();
-        if (!traits_type::eq_int_type(c, traits_type::eof())) {
-            *pptr() = traits_type::to_char_type(c);
-            pbump(1);
-        }
-        return traits_type::not_eof(c);
-    }
-
-    int sync() override
-    {
-        const char *p = pbase();
-        while (p < pptr()) {
-            const ssize_t n =
-                ::write(fd_, p, static_cast<size_t>(pptr() - p));
-            if (n <= 0)
-                return -1;
-            p += n;
-        }
-        setp(out_, out_ + sizeof(out_));
-        return 0;
-    }
-
-  private:
-    int fd_;
-    char in_[4096];
-    char out_[4096];
-};
 
 struct DaemonFlags
 {
@@ -203,8 +157,10 @@ warmIfRequested(serve::Daemon &daemon, const DaemonFlags &flags)
         std::cerr << "tts_serve: manifest " << failure << "\n";
 }
 
+/** --stats: daemon and cache counters, plus the mux's if one ran. */
 void
-dumpStats(const serve::Daemon &daemon, const std::string &path)
+writeStats(const std::string &path, const serve::Daemon &daemon,
+           const serve::MuxStats *mux)
 {
     if (path.empty())
         return;
@@ -217,19 +173,21 @@ dumpStats(const serve::Daemon &daemon, const std::string &path)
     kv["serve.cache.collisions"] =
         static_cast<double>(cache.collisions);
     kv["serve.cache.persists"] = static_cast<double>(cache.persists);
+    if (mux) {
+        const std::map<std::string, double> m = mux->toMap();
+        kv.insert(m.begin(), m.end());
+    }
     writeKvJsonFile(path, kv);
 }
 
-serve::StreamOptions
-streamOptionsOf(const DaemonFlags &f)
-{
-    serve::StreamOptions options;
-    options.limits.maxPayloadBytes = f.maxBytes;
-    return options;
-}
-
+/**
+ * Serve framed sessions on one SessionMux: connections on the Unix
+ * socket at `path`, or, with no path, one session reading stdin and
+ * writing stdout.
+ */
 int
-runStdio(const DaemonFlags &flags)
+runMux(const DaemonFlags &flags, serve::MuxOptions options,
+       const std::string &path)
 {
     serve::Daemon daemon(configOf(flags));
     if (daemon.cacheLoadOutcome() ==
@@ -237,46 +195,23 @@ runStdio(const DaemonFlags &flags)
         std::cerr << "tts_serve: cache snapshot was corrupt; "
                      "quarantined to "
                   << flags.cachePath << ".corrupt\n";
-    warmIfRequested(daemon, flags);
-    serve::serveStream(std::cin, std::cout, daemon,
-                       streamOptionsOf(flags));
-    daemon.shutdown();
-    dumpStats(daemon, flags.statsPath);
-    return 0;
-}
-
-int
-runSocket(const DaemonFlags &flags, const std::string &path,
-          bool once, std::size_t max_sessions, std::size_t window)
-{
-    require(!path.empty(), "socket mode needs --socket=PATH");
-    serve::Daemon daemon(configOf(flags));
-    if (daemon.cacheLoadOutcome() ==
-        cache::CacheLoadOutcome::Quarantined)
-        std::cerr << "tts_serve: cache snapshot was corrupt; "
-                     "quarantined to "
-                  << flags.cachePath << ".corrupt\n";
-    // Warm before the socket exists: the first client to connect
-    // already sees the manifest's entries resident.
+    // Warm before any session opens: the first client already sees
+    // the manifest's entries resident.
     warmIfRequested(daemon, flags);
 
-    serve::MuxOptions options;
     options.limits.maxPayloadBytes = flags.maxBytes;
-    options.maxSessions = max_sessions;
-    options.pipelineWindow = window;
-    options.exitAfterSessions = once ? 1 : 0;
     serve::SessionMux mux(daemon, options);
-    mux.listenUnix(path);
-    std::cerr << "tts_serve: listening on " << path << "\n";
+    if (path.empty()) {
+        mux.adopt(STDIN_FILENO, STDOUT_FILENO);
+    } else {
+        mux.listenUnix(path);
+        std::cerr << "tts_serve: listening on " << path << "\n";
+    }
     mux.run();
 
     daemon.shutdown();
-    if (!flags.statsPath.empty()) {
-        std::map<std::string, double> kv = daemon.stats().toMap();
-        for (const auto &entry : mux.stats().toMap())
-            kv[entry.first] = entry.second;
-        writeKvJsonFile(flags.statsPath, kv);
-    }
+    const serve::MuxStats stats = mux.stats();
+    writeStats(flags.statsPath, daemon, &stats);
     return 0;
 }
 
@@ -304,12 +239,30 @@ runSend(const std::string &path)
                       sizeof(addr)) == 0,
             "connect(" + path + ") failed - is tts_serve socket "
                                "running?");
-    FdBuf buf(fd);
-    std::istream in(&buf);
-    std::ostream out(&buf);
-    serve::writeFrame(out, readAll(std::cin));
+    const std::string frame = serve::encodeFrame(readAll(std::cin));
+    for (std::size_t off = 0; off < frame.size();) {
+        const ssize_t n = ::send(fd, frame.data() + off,
+                                 frame.size() - off, MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break; // The reply read below reports the failure.
+        off += static_cast<std::size_t>(n);
+    }
     ::shutdown(fd, SHUT_WR);
-    const serve::FrameResult reply = serve::readFrame(in);
+    serve::FrameDecoder decoder;
+    serve::FrameResult reply;
+    char buf[4096];
+    while (!decoder.next(&reply)) {
+        const ssize_t n = ::read(fd, buf, sizeof(buf));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0) {
+            reply = decoder.finish();
+            break;
+        }
+        decoder.feed(buf, static_cast<std::size_t>(n));
+    }
     ::close(fd);
     require(reply.status == serve::FrameStatus::Ok,
             "no reply frame: " + reply.diagnostic);
@@ -327,7 +280,7 @@ runCall(const DaemonFlags &flags)
     const serve::Reply reply = daemon.call(readAll(std::cin));
     daemon.shutdown();
     std::cout << reply.toJson();
-    dumpStats(daemon, flags.statsPath);
+    writeStats(flags.statsPath, daemon, nullptr);
     return reply.ok ? 0 : 1;
 }
 
@@ -369,7 +322,7 @@ main(int argc, char **argv)
         p.addSize("max-sessions", &max_sessions,
                   "concurrent sessions served");
         p.addSize("window", &window,
-                  "outstanding replies per session (0 = queue "
+                  "outstanding requests per session (0 = queue "
                   "capacity)");
     } else if (command == "send") {
         p.addString("socket", &socket_path, "Unix socket path");
@@ -389,12 +342,24 @@ main(int argc, char **argv)
         break;
     }
 
+    // A vanished reader must surface as a failed write that ends its
+    // session, not as a signal that kills the process before the
+    // cache persists and --stats is written.
+    std::signal(SIGPIPE, SIG_IGN);
     try {
-        if (command == "stdio")
-            return runStdio(flags);
-        if (command == "socket")
-            return runSocket(flags, socket_path, once, max_sessions,
-                             window);
+        serve::MuxOptions options;
+        if (command == "stdio") {
+            options.exitAfterSessions = 1;
+            return runMux(flags, options, "");
+        }
+        if (command == "socket") {
+            require(!socket_path.empty(),
+                    "socket mode needs --socket=PATH");
+            options.maxSessions = max_sessions;
+            options.pipelineWindow = window;
+            options.exitAfterSessions = once ? 1 : 0;
+            return runMux(flags, options, socket_path);
+        }
         if (command == "send")
             return runSend(socket_path);
         return runCall(flags);
