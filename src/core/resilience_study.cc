@@ -16,6 +16,11 @@ namespace core {
 
 namespace {
 
+/** Emergency throttle threshold below the room limit (C). */
+constexpr double throttleMarginC = 5.0;
+/** Hysteresis below the threshold before un-throttling (C). */
+constexpr double throttleHysteresisC = 2.0;
+
 /** Flat two-sample trace holding the scenario utilization. */
 workload::WorkloadTrace
 flatTrace(double util, double horizon_s)
@@ -83,7 +88,7 @@ class ThermalArmSim
                opt.room.setpointC),
           u_(scenario.utilization),
           floor_ghz_(spec.cpu.minFreqGHz),
-          throttle_at_(opt.room.limitC - opt.throttleMarginC),
+          throttle_at_(opt.room.limitC - throttleMarginC),
           n_(static_cast<double>(opt.run.serverCount)),
           sample_(static_cast<double>(opt.cluster.serverCount))
     {
@@ -127,8 +132,7 @@ class ThermalArmSim
             TTS_OBS_EVENT(obs::EventKind::ThrottleOn, t_,
                           label_ + "/dvfs", sensed, -1);
         } else if (throttled_ &&
-                   sensed <= throttle_at_ -
-                                 opt_.throttleHysteresisC) {
+                   sensed <= throttle_at_ - throttleHysteresisC) {
             throttled_ = false;
             TTS_OBS_EVENT(obs::EventKind::ThrottleOff, t_,
                           label_ + "/dvfs", sensed, -1);
@@ -429,9 +433,6 @@ ResilienceRunner::ResilienceRunner(const server::ServerSpec &spec,
     require(options.run.serverCount >= 1 &&
             options.cluster.serverCount >= 1,
             "runResilienceStudy: need servers");
-    require(options.throttleMarginC > 0.0 &&
-            options.throttleHysteresisC >= 0.0,
-            "runResilienceStudy: bad throttle thresholds");
     impl_ = std::make_unique<Impl>(spec, scenario, options);
 }
 

@@ -36,6 +36,7 @@
 #include "datacenter/room_model.hh"
 #include "fault/fault_schedule.hh"
 #include "guard/numerics.hh"
+#include "guard/resume.hh"
 #include "server/server_spec.hh"
 #include "util/time_series.hh"
 #include "workload/dcsim.hh"
@@ -56,22 +57,21 @@ struct ResilienceScenario
     double horizonS = 2.0 * 3600.0;
 };
 
-/** Study configuration shared by every scenario. */
+/**
+ * Study configuration shared by every scenario.  The emergency
+ * throttle is fixed: servers drop to the DVFS floor when the sensed
+ * inlet reaches room.limitC - 5 C and recover 2 C below that.
+ */
 struct ResilienceConfig
 {
-    /** Shared run knobs (serverCount, meltTempC, checkpoint). */
+    /** Shared model inputs; the study reads serverCount and
+     *  meltTempC.  Checkpointing is ResilienceRunner::run's policy
+     *  argument, not part of the configuration. */
     RunConfig run;
     /** Room configuration. */
     datacenter::RoomConfig room;
     /** Thermal step (s). */
     double stepS = 10.0;
-    /**
-     * Emergency throttle threshold margin: servers drop to the DVFS
-     * floor when the sensed inlet reaches limitC - margin (C).
-     */
-    double throttleMarginC = 5.0;
-    /** Hysteresis below the threshold before un-throttling (C). */
-    double throttleHysteresisC = 2.0;
     /**
      * Cluster sample for the job-accounting side; per-server fault
      * targets index into this sample, and fan/crash populations are

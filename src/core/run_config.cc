@@ -1,9 +1,5 @@
 #include "core/run_config.hh"
 
-#include "obs/obs.hh"
-#include "util/error.hh"
-#include "util/kv_json.hh"
-
 namespace tts {
 namespace core {
 
@@ -19,44 +15,6 @@ RunConfig::waxConfig() const
         meltTempC > 0.0 ? meltTempC : 0.0);
     wax.meltWindowC = meltWindowC;
     return wax;
-}
-
-StudyContext::StudyContext(server::ServerSpec spec,
-                           workload::WorkloadTrace trace,
-                           RunConfig run)
-    : spec_(std::move(spec)), trace_(std::move(trace)),
-      run_(std::move(run))
-{
-}
-
-void
-StudyContext::beginObs() const
-{
-    if (run_.obs.any())
-        obs::setEnabled(true);
-}
-
-void
-StudyContext::finishObs() const
-{
-    if (!run_.obs.any())
-        return;
-    if (!run_.obs.metricsPath.empty())
-        writeKvJsonFile(run_.obs.metricsPath,
-                        obs::registry().snapshot());
-    if (!run_.obs.tracePath.empty()) {
-        obs::TraceFormat format;
-        if (run_.obs.traceFormat == "jsonl")
-            format = obs::TraceFormat::Jsonl;
-        else if (run_.obs.traceFormat == "chrome")
-            format = obs::TraceFormat::Chrome;
-        else
-            throw Error("StudyContext: bad traceFormat '" +
-                        run_.obs.traceFormat +
-                        "' (want jsonl or chrome)");
-        obs::writeTraceFile(run_.obs.tracePath, format);
-    }
-    obs::setEnabled(false);
 }
 
 } // namespace core

@@ -35,12 +35,6 @@ Cluster::run(const workload::WorkloadTrace &trace,
     const double t1 = trace.endTime();
     const double n = static_cast<double>(server_count_);
 
-    auto freq_at = [&](double t, double util) {
-        if (options.freqPolicy)
-            return options.freqPolicy(t, util);
-        return options.freqGHz;
-    };
-
     // Warm-up: cycle the first 24 h so the wax starts each recorded
     // day from its periodic steady state, as a long-running
     // datacenter would.
@@ -49,7 +43,7 @@ Cluster::run(const workload::WorkloadTrace &trace,
         for (double t = t0; t < t0 + warm_span;
              t += options.controlIntervalS) {
             double util = std::clamp(trace.totalAt(t), 0.0, 1.0);
-            rep_.setLoad(util, freq_at(t, util));
+            rep_.setLoad(util);
             double dt = std::min(options.controlIntervalS,
                                  t0 + warm_span - t);
             rep_.advance(dt, options.thermalStepS);
@@ -78,14 +72,14 @@ Cluster::run(const workload::WorkloadTrace &trace,
 
     for (double t = t0; t < t1; t += options.controlIntervalS) {
         double util = std::clamp(trace.totalAt(t), 0.0, 1.0);
-        rep_.setLoad(util, freq_at(t, util));
+        rep_.setLoad(util);
         record(t);
         double dt = std::min(options.controlIntervalS, t1 - t);
         rep_.advance(dt, options.thermalStepS);
     }
     // Final sample at the trace end.
     double util = std::clamp(trace.totalAt(t1), 0.0, 1.0);
-    rep_.setLoad(util, freq_at(t1, util));
+    rep_.setLoad(util);
     record(t1);
     return out;
 }

@@ -14,8 +14,6 @@
 #ifndef TTS_DATACENTER_CLUSTER_HH
 #define TTS_DATACENTER_CLUSTER_HH
 
-#include <functional>
-
 #include "server/server_model.hh"
 #include "util/time_series.hh"
 #include "workload/trace.hh"
@@ -35,13 +33,6 @@ struct ClusterRunOptions
      * before recording (0 disables).
      */
     int warmupDays = 1;
-    /** Frequency the servers run at (GHz); <= 0 means nominal. */
-    double freqGHz = 0.0;
-    /**
-     * Optional per-step frequency policy, overriding freqGHz:
-     * called with (time s, utilization) and returns GHz.
-     */
-    std::function<double(double, double)> freqPolicy;
 };
 
 /** Time-series outputs of a cluster run. */
@@ -86,10 +77,10 @@ class Cluster
     /**
      * Run the cluster over a normalized load trace.
      *
-     * Utilization at each control step is the trace total; the
-     * representative server's thermal state advances through the
-     * whole trace, and extensive quantities scale by the server
-     * count.
+     * Utilization at each control step is the trace total and the
+     * servers run at nominal frequency; the representative server's
+     * thermal state advances through the whole trace, and extensive
+     * quantities scale by the server count.
      */
     ClusterRunResult run(const workload::WorkloadTrace &trace,
                          const ClusterRunOptions &options =

@@ -17,14 +17,12 @@ ArchetypeArena::ArchetypeArena(const server::ServerSpec &spec,
                                const server::WaxConfig &wax,
                                std::uint32_t first_server,
                                std::uint32_t count,
-                               double inlet_temp_c,
                                double initial_util)
     : spec_(spec), wax_(wax), first_(first_server), count_(count),
-      inlet_temp_c_(inlet_temp_c),
       baseline_(std::make_unique<server::ServerModel>(spec, wax))
 {
     require(count >= 1, "ArchetypeArena: need at least one row");
-    baseline_->network().setInletTemp(inlet_temp_c);
+    baseline_->network().setInletTemp(inletTempC);
     baseline_->setLoad(initial_util);
     baseline_->solveSteadyState();
 }

@@ -34,6 +34,9 @@
 namespace tts {
 namespace fleet {
 
+/** Cold-aisle inlet temperature every arena row sees (C). */
+constexpr double inletTempC = 25.0;
+
 /**
  * Fold a double's bit pattern into a digest (cache::fnv1aMixU64 over
  * its 8 bytes, the digest building block).
@@ -85,13 +88,13 @@ class ArchetypeArena
      * @param wax          Wax-bay contents of every row.
      * @param first_server First global server index of this arena.
      * @param count        Rows in the arena.
-     * @param inlet_temp_c Cold-aisle inlet temperature (C).
-     * @param initial_util Utilization the baseline equilibrates at.
+     * @param initial_util Utilization the baseline equilibrates at
+     *                     (inlet at fleet::inletTempC).
      */
     ArchetypeArena(const server::ServerSpec &spec,
                    const server::WaxConfig &wax,
                    std::uint32_t first_server, std::uint32_t count,
-                   double inlet_temp_c, double initial_util);
+                   double initial_util);
 
     /** @return First global server index. */
     std::uint32_t firstServer() const { return first_; }
@@ -112,8 +115,6 @@ class ArchetypeArena
     const server::ServerSpec &spec() const { return spec_; }
     /** @return The wax deployment. */
     const server::WaxConfig &wax() const { return wax_; }
-    /** @return The arena inlet temperature (C). */
-    double inletTempC() const { return inlet_temp_c_; }
 
     /**
      * Clone the baseline into a fresh private model for one row:
@@ -142,7 +143,6 @@ class ArchetypeArena
     server::WaxConfig wax_;
     std::uint32_t first_;
     std::uint32_t count_;
-    double inlet_temp_c_;
     std::uint32_t materialized_ = 0;
     std::unique_ptr<server::ServerModel> baseline_;
 };

@@ -39,6 +39,15 @@ restoreModel(guard::CheckpointReader &r, const std::string &key,
 
 } // namespace
 
+std::vector<std::size_t>
+platformCounts(std::size_t total, std::size_t slots)
+{
+    std::vector<std::size_t> counts(slots, total / slots);
+    for (std::size_t i = 0; i < total % slots; ++i)
+        ++counts[i];
+    return counts;
+}
+
 FleetSim::FleetSim(const server::ServerSpec &spec,
                    const workload::WorkloadTrace &trace,
                    const FleetConfig &cfg)
@@ -53,9 +62,7 @@ FleetSim::FleetSim(const server::ServerSpec &spec,
             "FleetSim: bad step sizes");
 
     double u0 = utilAt(0.0);
-    server::WaxConfig shared_wax = cfg_.withWax
-        ? cfg_.run.waxConfig()
-        : server::WaxConfig::none();
+    server::WaxConfig shared_wax = cfg_.run.waxConfig();
     if (server_count_ > 0) {
         std::vector<server::ServerSpec> specs;
         if (cfg_.mixedPlatforms) {
@@ -69,19 +76,19 @@ FleetSim::FleetSim(const server::ServerSpec &spec,
                 "FleetSim: archetypeWax must carry one entry per "
                 "platform slot (" + std::to_string(specs.size()) +
                     ")");
-        std::uint32_t n = static_cast<std::uint32_t>(server_count_);
-        std::uint32_t base = n / static_cast<std::uint32_t>(specs.size());
-        std::uint32_t rem = n % static_cast<std::uint32_t>(specs.size());
+        std::vector<std::size_t> counts =
+            platformCounts(server_count_, specs.size());
         std::uint32_t first = 0;
         for (std::size_t i = 0; i < specs.size(); ++i) {
-            std::uint32_t count = base + (i < rem ? 1 : 0);
+            std::uint32_t count =
+                static_cast<std::uint32_t>(counts[i]);
             if (count == 0)
                 continue;
             const server::WaxConfig &wax = cfg_.archetypeWax.empty()
                 ? shared_wax
                 : cfg_.archetypeWax[i];
             arenas_.push_back(std::make_unique<ArchetypeArena>(
-                specs[i], wax, first, count, cfg_.inletTempC, u0));
+                specs[i], wax, first, count, u0));
             first += count;
         }
     }
@@ -254,7 +261,7 @@ FleetSim::setLoads(double u)
             ? arena.spec().cpu.minFreqGHz
             : 0.0;
         row.model->setLoad(util, freq);
-        row.model->network().setInletTemp(arena.inletTempC() +
+        row.model->network().setInletTemp(inletTempC +
                                           row.pert.inletDeltaC);
         row.model->network().setObsClock(t_);
     }
@@ -430,7 +437,7 @@ FleetSim::save(guard::CheckpointWriter &w) const
     w.put("duration_s", cfg_.durationS);
     w.put("control_s", cfg_.controlIntervalS);
     w.put("thermal_s", cfg_.thermalStepS);
-    w.put("inlet_c", cfg_.inletTempC);
+    w.put("inlet_c", inletTempC);
     w.put("t", t_);
     w.putU64("control_steps", control_steps_);
     w.putU64("events_pos", events_pos_);
@@ -488,7 +495,7 @@ FleetSim::restore(guard::CheckpointReader &r)
     require(r.expect("duration_s") == cfg_.durationS &&
                 r.expect("control_s") == cfg_.controlIntervalS &&
                 r.expect("thermal_s") == cfg_.thermalStepS &&
-                r.expect("inlet_c") == cfg_.inletTempC,
+                r.expect("inlet_c") == inletTempC,
             "fleet checkpoint: step configuration mismatch");
     t_ = r.expect("t");
     control_steps_ = r.expectU64("control_steps");
@@ -578,22 +585,6 @@ FleetSim::take()
     out.eventsApplied = events_applied_;
     out.serverCount = server_count_;
     return out;
-}
-
-FleetResult
-runFleetStudy(const server::ServerSpec &spec,
-              const workload::WorkloadTrace &trace,
-              const FleetConfig &cfg)
-{
-    core::StudyContext ctx(spec, trace, cfg.run);
-    ctx.beginObs();
-    FleetSim sim(spec, trace, cfg);
-    bool finished = sim.run(cfg.run.checkpoint);
-    ctx.finishObs();
-    require(finished,
-            "runFleetStudy: run paused by stopAfterS; drive FleetSim "
-            "directly for pause/resume");
-    return sim.take();
 }
 
 } // namespace fleet

@@ -46,13 +46,22 @@
 namespace tts {
 namespace fleet {
 
+/**
+ * @return The servers each of @p slots platform slots gets out of
+ * @p total: an even split, the remainder one each to the first
+ * slots.  FleetSim lays its arenas out this way, and the opt engine
+ * weights per-archetype wax cost by it.
+ */
+std::vector<std::size_t> platformCounts(std::size_t total,
+                                        std::size_t slots);
+
 /** Fleet simulation configuration. */
 struct FleetConfig
 {
     /**
-     * Shared run knobs: serverCount is the fleet population,
-     * utilization is the flat load when no trace is given, meltTempC
-     * picks the wax deployment, obs/checkpoint wire the sinks.
+     * Shared model inputs: serverCount is the fleet population,
+     * utilization is the flat load when no trace is given, and
+     * meltTempC / meltWindowC / waxLiters pick the wax deployment.
      */
     core::RunConfig run;
     /** Simulated horizon (s). */
@@ -61,8 +70,6 @@ struct FleetConfig
     double controlIntervalS = 60.0;
     /** Inner thermal integration step (s). */
     double thermalStepS = 15.0;
-    /** Cold-aisle inlet temperature every arena sees (C). */
-    double inletTempC = 25.0;
     /**
      * Shards the materialized rows advance in (each shard owns a
      * contiguous server range); 0 picks the default of 8.  Results
@@ -92,15 +99,13 @@ struct FleetConfig
      * fleet; counts split as evenly as possible.
      */
     bool mixedPlatforms = false;
-    /** Deploy wax (run.waxConfig()); false runs a stock fleet. */
-    bool withWax = true;
     /**
      * Per-archetype wax overrides, indexed by platform slot (the
      * single platform, or {1U, 2U, OCP} under mixedPlatforms).  When
      * non-empty it must have one entry per slot and replaces the
-     * withWax/run.waxConfig() choice for every arena - this is the
-     * knob tts::opt turns for per-archetype wax mass / melt / box
-     * count candidates.
+     * run.waxConfig() deployment for every arena - this is the knob
+     * tts::opt turns for per-archetype wax mass / melt / box count
+     * candidates.
      */
     std::vector<server::WaxConfig> archetypeWax;
     /**
@@ -337,16 +342,6 @@ class FleetSim : public guard::Resumable
     TimeSeries melt_;
     bool taken_ = false;
 };
-
-/**
- * Convenience wrapper: build a FleetSim and run it to completion
- * under cfg.run.checkpoint, honoring cfg.run.obs via StudyContext.
- * @throws tts::Error when the run pauses (stopAfterS) instead of
- *         finishing - drive FleetSim directly for pause/resume.
- */
-FleetResult runFleetStudy(const server::ServerSpec &spec,
-                          const workload::WorkloadTrace &trace,
-                          const FleetConfig &cfg);
 
 } // namespace fleet
 } // namespace tts

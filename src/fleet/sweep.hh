@@ -7,7 +7,7 @@
  * N independent submissions; this is that entry point.  Each job is
  * an independent (spec, trace, config) fleet run; the batch fans out
  * over the deterministic exec pool into index-keyed slots, so
- * results[i] is exactly what runFleetStudy would have produced for
+ * results[i] is exactly what a FleetSim would have produced for
  * jobs[i] run alone - the bit-identity contract the batcher's
  * split-back-out step relies on.  (FleetSim's own sharded stepping
  * nests inside the pool the same way the opt engine's candidate

@@ -23,18 +23,6 @@ namespace {
  *  64 bits - and rebasing onto LruMap keeps that contract. */
 using Memo = cache::LruMap<EvalOutcome>;
 
-/** FleetSim's slot split (base + remainder), for TCO weighting. */
-std::vector<std::size_t>
-slotCounts(std::size_t total, std::size_t slots)
-{
-    std::vector<std::size_t> counts(slots, 0);
-    std::size_t base = total / slots;
-    std::size_t rem = total % slots;
-    for (std::size_t i = 0; i < slots; ++i)
-        counts[i] = base + (i < rem ? 1 : 0);
-    return counts;
-}
-
 /**
  * Annualized cooling-attributed capital + wax capital (USD/year):
  * the peak kW at the Table 2 cooling rate, plus each archetype's
@@ -50,7 +38,7 @@ annualTcoUsd(const SearchSpace &space,
         tco::parametersFor(space.archetypes[0].spec)
             .coolingAttributedCapExPerKW();
     std::vector<std::size_t> counts =
-        slotCounts(server_count, space.archetypes.size());
+        fleet::platformCounts(server_count, space.archetypes.size());
     for (std::size_t a = 0; a < space.archetypes.size(); ++a) {
         const ArchetypeAxis &axis = space.archetypes[a];
         if (mass_kg[a] <= 0.0 || axis.paperMassKg <= 0.0)
@@ -72,32 +60,44 @@ annualTcoUsd(const SearchSpace &space,
  * the default search objective stays bit-identical.
  */
 double
-plantOpExUsdPerYear(const core::RunConfig &run, double duration_s,
-                    double cooling_energy_j)
+plantOpExUsdPerYear(const plant::PlantOptions &options,
+                    double duration_s, double cooling_energy_j)
 {
-    if (run.plant.kind == plant::BackendKind::Crac ||
-        duration_s <= 0.0)
+    if (options.kind == plant::BackendKind::Crac || duration_s <= 0.0)
         return 0.0;
     plant::PlantScenario scenario;
     double mean_w = std::max(cooling_energy_j, 0.0) / duration_s;
     for (double t = 0.0; t <= duration_s + 1e-9; t += 3600.0)
         scenario.loadW.append(t, mean_w);
     plant::PlantConfig config;
-    config.options = run.plant;
+    config.options = options;
     return plant::runPlant(scenario, config).yearlyNetCostUsd;
 }
 
-/** The oracle's fleet configuration shared by every evaluation. */
-fleet::FleetConfig
-oracleBase(const OptOptions &opts)
+/**
+ * The oracle: run fleet @p f - a candidate's deployment or the
+ * paper's - to the end and price it.  @p mass_kg is the wax mass of
+ * each archetype, which the TCO reading charges for.
+ */
+EvalOutcome
+runOracle(const SearchSpace &space,
+          const workload::WorkloadTrace &trace, const OptOptions &opts,
+          fleet::FleetConfig f, const std::vector<double> &mass_kg)
 {
-    fleet::FleetConfig f = opts.fleet;
-    // Thousands of evaluations: no per-step series, no sink files,
-    // no checkpoints - those belong to the search's caller.
+    // Thousands of evaluations: peaks and energy only, no per-step
+    // series.
     f.recordSeries = false;
-    f.run.obs = core::ObsSinks{};
-    f.run.checkpoint = guard::CheckpointPolicy{};
-    return f;
+    fleet::FleetSim sim(space.archetypes[0].spec, trace, f);
+    sim.run();
+    fleet::FleetResult r = sim.take();
+    EvalOutcome outcome;
+    outcome.peakCoolingW = r.peakCoolingW;
+    outcome.coolingEnergyJ = r.coolingEnergyJ;
+    outcome.tcoUsdPerYear = annualTcoUsd(space, mass_kg, r.peakCoolingW,
+                                         f.run.serverCount);
+    outcome.tcoUsdPerYear += plantOpExUsdPerYear(
+        opts.plant, f.durationS, r.coolingEnergyJ);
+    return outcome;
 }
 
 /** The search engine: memo + counters around the fleet oracle. */
@@ -115,14 +115,14 @@ class Engine
     /** Exact paper deployment on the oracle (the bar to clear). */
     EvalOutcome evalBaseline()
     {
-        fleet::FleetConfig f = oracleBase(opts_);
+        fleet::FleetConfig f = opts_.fleet;
         f.archetypeWax.clear();
         f.placement = workload::PlacementPolicy::Uniform;
-        f.withWax = true;
         std::vector<double> mass;
         for (const ArchetypeAxis &a : space_.archetypes)
             mass.push_back(a.paperMassKg);
-        return runOracle(f, mass);
+        oracle_calls_.fetch_add(1, std::memory_order_relaxed);
+        return runOracle(space_, trace_, opts_, f, mass);
     }
 
     /**
@@ -178,33 +178,8 @@ class Engine
   private:
     EvalOutcome evalCandidate(const Candidate &c)
     {
-        fleet::FleetConfig f = oracleBase(opts_);
-        for (std::size_t a = 0; a < space_.archetypes.size(); ++a)
-            f.archetypeWax.push_back(waxConfigOf(
-                space_, c, a, opts_.fleet.run.meltWindowC));
-        f.placement =
-            space_.policies[static_cast<std::size_t>(c.policy)];
-        std::vector<double> mass;
-        for (std::size_t a = 0; a < space_.archetypes.size(); ++a)
-            mass.push_back(massKgOf(space_, c, a));
-        return runOracle(f, mass);
-    }
-
-    EvalOutcome runOracle(const fleet::FleetConfig &f,
-                          const std::vector<double> &mass_kg)
-    {
         oracle_calls_.fetch_add(1, std::memory_order_relaxed);
-        fleet::FleetSim sim(space_.archetypes[0].spec, trace_, f);
-        sim.run();
-        fleet::FleetResult r = sim.take();
-        EvalOutcome outcome;
-        outcome.peakCoolingW = r.peakCoolingW;
-        outcome.coolingEnergyJ = r.coolingEnergyJ;
-        outcome.tcoUsdPerYear = annualTcoUsd(
-            space_, mass_kg, r.peakCoolingW, f.run.serverCount);
-        outcome.tcoUsdPerYear += plantOpExUsdPerYear(
-            f.run, f.durationS, r.coolingEnergyJ);
-        return outcome;
+        return evaluateCandidate(space_, c, trace_, opts_);
     }
 
     const SearchSpace &space_;
@@ -253,25 +228,15 @@ evaluateCandidate(const SearchSpace &space, const Candidate &c,
                   const workload::WorkloadTrace &trace,
                   const OptOptions &opts)
 {
-    fleet::FleetConfig f = oracleBase(opts);
-    for (std::size_t a = 0; a < space.archetypes.size(); ++a)
+    fleet::FleetConfig f = opts.fleet;
+    std::vector<double> mass;
+    for (std::size_t a = 0; a < space.archetypes.size(); ++a) {
         f.archetypeWax.push_back(
             waxConfigOf(space, c, a, opts.fleet.run.meltWindowC));
-    f.placement = space.policies[static_cast<std::size_t>(c.policy)];
-    fleet::FleetSim sim(space.archetypes[0].spec, trace, f);
-    sim.run();
-    fleet::FleetResult r = sim.take();
-    std::vector<double> mass;
-    for (std::size_t a = 0; a < space.archetypes.size(); ++a)
         mass.push_back(massKgOf(space, c, a));
-    EvalOutcome outcome;
-    outcome.peakCoolingW = r.peakCoolingW;
-    outcome.coolingEnergyJ = r.coolingEnergyJ;
-    outcome.tcoUsdPerYear = annualTcoUsd(space, mass, r.peakCoolingW,
-                                         f.run.serverCount);
-    outcome.tcoUsdPerYear += plantOpExUsdPerYear(
-        f.run, f.durationS, r.coolingEnergyJ);
-    return outcome;
+    }
+    f.placement = space.policies[static_cast<std::size_t>(c.policy)];
+    return runOracle(space, trace, opts, f, mass);
 }
 
 OptResult

@@ -40,6 +40,7 @@
 
 #include "fleet/fleet.hh"
 #include "opt/space.hh"
+#include "plant/options.hh"
 #include "workload/trace.hh"
 
 namespace tts {
@@ -90,10 +91,17 @@ struct OptOptions
     /**
      * Fleet oracle base configuration: population, horizon, steps,
      * perturbations.  The engine overrides archetypeWax, placement,
-     * and recordSeries per candidate and clears obs/checkpoint
-     * sinks; mixedPlatforms must match the space's archetype count.
+     * and recordSeries per candidate; mixedPlatforms must match the
+     * space's archetype count.
      */
     fleet::FleetConfig fleet;
+    /**
+     * Cooling plant the TCO objective prices the fleet's cooling
+     * energy through.  The default CRAC adapter adds nothing (the
+     * Table 2 rate already covers it); the peak objective ignores
+     * this.
+     */
+    plant::PlantOptions plant;
 };
 
 /** Both objective readings of one candidate evaluation. */
@@ -138,8 +146,8 @@ struct OptResult
     double bestCost = 0.0;
     EvalOutcome bestOutcome;
     /** The paper's exact uniform deployment on the same oracle
-     *  (withWax fleet, Uniform placement - not snapped to the
-     *  grid), the bar the search must clear. */
+     *  (run.waxConfig() on every arena, Uniform placement - not
+     *  snapped to the grid), the bar the search must clear. */
     double baselineCost = 0.0;
     EvalOutcome baselineOutcome;
     /** Decoded best (per archetype) and its policy. */
@@ -162,8 +170,9 @@ struct OptResult
 
 /**
  * Evaluate one candidate on the oracle (no memo, no budget); the
- * exact cost function the search minimizes.  Tests use this to
- * verify local minimality independently of the engine.
+ * exact cost function the search minimizes - the engine calls it
+ * for every memo miss.  Tests use it to verify local minimality
+ * independently of the engine.
  */
 EvalOutcome evaluateCandidate(const SearchSpace &space,
                               const Candidate &c,

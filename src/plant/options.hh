@@ -2,13 +2,13 @@
  * @file
  * Light cooling-plant backend selection (tts::plant).
  *
- * This header is the only piece of tts::plant that core::RunConfig
- * embeds, so it must stay dependency-free: a backend kind, the
- * weather-trace path the economizer/MPC backends consume, and the
- * name round-trip used by the CLI and the serve protocol.  The
- * heavyweight knobs (loop effectiveness, controller horizon, ...)
- * live in plant::PlantTuning (backend.hh) and never travel through
- * RunConfig.
+ * The piece of tts::plant that other configurations carry -
+ * plant::PlantConfig::options and opt::OptOptions::plant - so it
+ * stays dependency-free: a backend kind, the weather-trace path the
+ * economizer/MPC backends consume, and the name round-trip used by
+ * the CLI and the serve protocol.  The heavyweight knobs (loop
+ * effectiveness, controller horizon, ...) live in
+ * plant::PlantTuning (backend.hh).
  */
 
 #ifndef TTS_PLANT_OPTIONS_HH
@@ -38,9 +38,8 @@ const char *toString(BackendKind kind);
 BackendKind backendKindFromString(const std::string &name);
 
 /**
- * Backend selection, shared through core::RunConfig.  The default
- * (CRAC, no weather trace) reproduces every pre-plant study
- * bit-for-bit.
+ * Backend selection.  The default (CRAC, no weather trace)
+ * reproduces every pre-plant study bit-for-bit.
  */
 struct PlantOptions
 {
@@ -52,12 +51,6 @@ struct PlantOptions
      * datacenter::AmbientModel.
      */
     std::string weatherPath;
-
-    /** @return True when the selection differs from the default. */
-    bool isDefault() const
-    {
-        return kind == BackendKind::Crac && weatherPath.empty();
-    }
 };
 
 } // namespace plant

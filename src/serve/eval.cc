@@ -182,8 +182,7 @@ evalPlant(const Request &req)
  * The fleet study's sweep job.  Coarse steps (300 s control, 60 s
  * thermal) keep a served run orders of magnitude cheaper than the
  * offline 2-day transient while exercising the same dedupe and
- * placement machinery; obs/checkpoint sinks are cleared because a
- * daemon answer must never write files.
+ * placement machinery.
  */
 fleet::SweepJob
 fleetJobOf(const Request &req)
@@ -194,8 +193,6 @@ fleetJobOf(const Request &req)
     tp.durationS = units::days(req.days);
     job.trace = workload::makeGoogleTrace(tp);
     job.cfg.run = runConfigOf(req);
-    job.cfg.run.obs = core::ObsSinks{};
-    job.cfg.run.checkpoint = guard::CheckpointPolicy{};
     job.cfg.durationS = units::days(req.days);
     job.cfg.controlIntervalS = 300.0;
     job.cfg.thermalStepS = 60.0;

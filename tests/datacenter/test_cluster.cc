@@ -110,16 +110,6 @@ TEST(Cluster, ThroughputFollowsUtilization)
     EXPECT_NEAR(r.throughput.max(), trace.peak(), 0.02);
 }
 
-TEST(Cluster, FrequencyPolicyApplies)
-{
-    Cluster c(server::rd330Spec(), WaxConfig::none(), 1008);
-    auto opts = fastOptions();
-    opts.freqPolicy = [](double, double) { return 1.6; };
-    auto r = c.run(fastTrace(), opts);
-    // Downclocked: throughput scaled by 1.6 / 2.4.
-    EXPECT_NEAR(r.throughput.max(), 0.95 * 1.6 / 2.4, 0.03);
-}
-
 TEST(Cluster, RecordsDiagnosticsSeries)
 {
     Cluster c(server::x4470Spec(), WaxConfig::paper(), 100);

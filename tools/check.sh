@@ -3,12 +3,14 @@
 # thermal-kernel perf gate, and sanitizer builds of the threaded and
 # parser-heavy suites.
 #
-#  1. Release tree (build/): ctest labels fast, guard, fault, obs,
-#     fleet, opt, serve, plant and perf (the perf_thermal_kernel
-#     smoke), then the full two-day thermal-kernel gate - cached
-#     kernel >= 2x the reference arithmetic with a bit-identical end
-#     state and a bit-identical 1-vs-8-thread 16-server fleet - which
-#     rewrites BENCH_thermal.json at the repo root.
+#  1. Release tree (build/): ctest labels fast, guard, fault, obs
+#     (followed by the extension_obs_overhead gate: projected
+#     disabled-obs overhead <= 2 %), fleet, opt, serve, plant and
+#     perf (the perf_thermal_kernel smoke), then the full two-day
+#     thermal-kernel gate - cached kernel >= 2x the reference
+#     arithmetic with a bit-identical end state and a bit-identical
+#     1-vs-8-thread 16-server fleet - which rewrites
+#     BENCH_thermal.json at the repo root.
 #  2. ThreadSanitizer tree (build-tsan/, TTS_SANITIZE=thread): the
 #     exec, fault, obs, fleet, opt, plant and serve suites at 8
 #     threads, the DCSim tests, and the multi-client socket soak.
@@ -52,6 +54,8 @@ ctest --test-dir build -L fault --output-on-failure -j
 
 echo "== ctest -L obs =="
 ctest --test-dir build -L obs --output-on-failure -j
+echo "== obs overhead gate: projected disabled overhead <= 2 % =="
+./build/bench/extension_obs_overhead
 
 echo "== ctest -L fleet =="
 ctest --test-dir build -L fleet --output-on-failure -j

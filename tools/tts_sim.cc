@@ -41,10 +41,13 @@
  * Long runs can be checkpointed and resumed: --checkpoint=FILE
  * writes a CRC-protected snapshot of the full simulation state every
  * --checkpoint-every simulated seconds (default 900), --resume=FILE
- * restores from a snapshot and continues (the result is
+ * restores from an existing snapshot and continues (the result is
  * bit-identical to an uninterrupted run), and --stop-after pauses
- * after that much simulated time, writing a final snapshot - useful
- * for rehearsing a kill/resume cycle.  With --scenario=all the
+ * after that much simulated time, writing a final snapshot to the
+ * --checkpoint or --resume file - useful for rehearsing a
+ * kill/resume cycle.  A --resume file that does not exist, or
+ * --stop-after with neither file, is an error for every command, as
+ * is a --checkpoint-every <= 0 with a file.  With --scenario=all the
  * checkpoint file is a per-scenario completion journal instead:
  * finished scenarios are skipped on resume.
  *
@@ -113,6 +116,7 @@
 #include "core/resilience_study.hh"
 #include "fault/fault_schedule.hh"
 #include "fleet/fleet.hh"
+#include "guard/resume.hh"
 #include "opt/engine.hh"
 #include "opt/space.hh"
 #include "plant/study.hh"
@@ -263,26 +267,55 @@ parse(int argc, char **argv)
     return o;
 }
 
-/** The shared study knobs this invocation asks for. */
+/** The shared model inputs this invocation asks for. */
 core::RunConfig
 runConfigOf(const Options &o)
 {
     core::RunConfig run;
     run.meltTempC = o.melt;
     run.utilization = o.util;
-    run.obs.metricsPath = o.metrics_file;
-    run.obs.tracePath = o.obs_trace_file;
-    run.obs.traceFormat = o.trace_format;
-    run.checkpoint.path = !o.resume_file.empty() ? o.resume_file
-                                                 : o.checkpoint_file;
-    run.checkpoint.checkpointEveryS = o.checkpoint_every;
-    run.checkpoint.stopAfterS = o.stop_after;
-    // "all" is the plant command's comparison mode, not a backend
-    // RunConfig can carry; cmdPlant branches on it before this.
-    if (o.backend != "all")
-        run.plant.kind = plant::backendKindFromString(o.backend);
-    run.plant.weatherPath = o.weather_file;
     return run;
+}
+
+/**
+ * The checkpoint policy the flags ask for.  The library restores
+ * whenever the policy's file exists, so the flags that only make
+ * sense with a file are checked here, for every command.
+ *
+ * @throws tts::Error on a non-positive interval with a file, a
+ *         --resume file that does not exist, or --stop-after with
+ *         no file to save the paused state to.
+ */
+guard::CheckpointPolicy
+checkpointPolicyOf(const Options &o)
+{
+    guard::CheckpointPolicy policy;
+    policy.path = !o.resume_file.empty() ? o.resume_file
+                                         : o.checkpoint_file;
+    policy.checkpointEveryS = o.checkpoint_every;
+    policy.stopAfterS = o.stop_after;
+    policy.validate();
+    require(o.resume_file.empty() ||
+                guard::checkpointExists(o.resume_file),
+            "--resume: no checkpoint file '" + o.resume_file +
+                "' (start the run with --checkpoint=FILE)");
+    require(o.stop_after < 0.0 || !policy.path.empty(),
+            "--stop-after needs --checkpoint=FILE or --resume=FILE "
+            "to save the paused state to");
+    return policy;
+}
+
+/** The cooling plant --backend and --weather select. */
+plant::PlantOptions
+plantOptionsOf(const Options &o)
+{
+    plant::PlantOptions options;
+    // "all" is the plant command's comparison mode, not a backend;
+    // cmdPlant branches on it, and every other command keeps CRAC.
+    if (o.backend != "all")
+        options.kind = plant::backendKindFromString(o.backend);
+    options.weatherPath = o.weather_file;
+    return options;
 }
 
 /** Tell the user where a paused run left its state.  @return 0. */
@@ -449,6 +482,7 @@ cmdOptimize(const Options &o)
     opts.budget = o.budget;
     opts.restarts = o.restarts;
     opts.objective = opt::objectiveFromName(o.objective);
+    opts.plant = plantOptionsOf(o);
     opts.fleet.run = runConfigOf(o);
     opts.fleet.run.serverCount = o.servers;
     opts.fleet.durationS = units::days(o.days);
@@ -556,16 +590,14 @@ cmdResilienceAll(const server::ServerSpec &spec,
 }
 
 int
-cmdResilience(const Options &o)
+cmdResilience(const Options &o, const guard::CheckpointPolicy &policy)
 {
     auto spec = platformOf(o);
     core::ResilienceConfig opts;
     opts.run = runConfigOf(o);
 
-    if (o.scenario == "all" && o.faults_file.empty()) {
-        return cmdResilienceAll(spec, opts,
-                                opts.run.checkpoint.path);
-    }
+    if (o.scenario == "all" && o.faults_file.empty())
+        return cmdResilienceAll(spec, opts, policy.path);
 
     core::ResilienceScenario scenario;
     if (!o.faults_file.empty()) {
@@ -590,8 +622,6 @@ cmdResilience(const Options &o)
                            "partial_trip_sensor_drift, "
                            "crash_fan_storm)");
     }
-
-    const guard::CheckpointPolicy &policy = opts.run.checkpoint;
 
     core::ResilienceRunner runner(spec, scenario, opts);
     if (!runner.run(policy))
@@ -640,7 +670,7 @@ cmdResilience(const Options &o)
 }
 
 int
-cmdFleet(const Options &o)
+cmdFleet(const Options &o, const guard::CheckpointPolicy &policy)
 {
     auto spec = platformOf(o);
     fleet::FleetConfig cfg;
@@ -653,8 +683,8 @@ cmdFleet(const Options &o)
     cfg.perturb.eventsPerServerDay = o.perturb_rate;
 
     fleet::FleetSim sim(spec, traceOf(o), cfg);
-    if (!sim.run(cfg.run.checkpoint))
-        return reportPause(o, cfg.run.checkpoint);
+    if (!sim.run(policy))
+        return reportPause(o, policy);
     auto r = sim.take();
 
     TimeSeries cooling_mw = r.coolingLoadW.scaled(1e-6);
@@ -673,11 +703,12 @@ cmdFleet(const Options &o)
                 r.peakCoolingW / 1e6, r.peakItPowerW / 1e6,
                 r.coolingEnergyJ / 3.6e9,
                 static_cast<unsigned long long>(r.stateDigest));
-    if (cfg.run.plant.kind != plant::BackendKind::Crac) {
+    const plant::PlantOptions plant_options = plantOptionsOf(o);
+    if (plant_options.kind != plant::BackendKind::Crac) {
         plant::PlantScenario ps;
         ps.loadW = r.coolingLoadW;
         plant::PlantConfig pcfg;
-        pcfg.options = cfg.run.plant;
+        pcfg.options = plant_options;
         pcfg.recordSeries = false;
         auto pr = plant::runPlant(ps, pcfg);
         std::printf("# plant backend=%s electric=%.1fMWh "
@@ -692,7 +723,7 @@ cmdFleet(const Options &o)
 }
 
 int
-cmdPlant(const Options &o)
+cmdPlant(const Options &o, const guard::CheckpointPolicy &policy)
 {
     auto spec = platformOf(o);
     core::RunConfig run = runConfigOf(o);
@@ -708,8 +739,8 @@ cmdPlant(const Options &o)
     }
 
     plant::PlantConfig cfg;
-    cfg.options = run.plant;
-    cfg.checkpoint = run.checkpoint;
+    cfg.options = plantOptionsOf(o);
+    cfg.checkpoint = policy;
 
     if (o.backend == "all") {
         auto cmp = plant::compareBackends(
@@ -737,7 +768,7 @@ cmdPlant(const Options &o)
 
     auto r = plant::runPlant(scenario, cfg);
     if (!r.finished)
-        return reportPause(o, cfg.checkpoint);
+        return reportPause(o, policy);
     std::printf("platform=%s backend=%s servers=%zu days=%.2f "
                 "faults=%zu\n",
                 spec.name.c_str(), r.backend.c_str(), o.servers,
@@ -793,7 +824,7 @@ cmdValidate(const Options &)
 namespace {
 
 int
-dispatch(const Options &o)
+dispatch(const Options &o, const guard::CheckpointPolicy &policy)
 {
     if (o.command == "trace")
         return cmdTrace(o);
@@ -806,11 +837,11 @@ dispatch(const Options &o)
     if (o.command == "outage")
         return cmdOutage(o);
     if (o.command == "resilience")
-        return cmdResilience(o);
+        return cmdResilience(o, policy);
     if (o.command == "fleet")
-        return cmdFleet(o);
+        return cmdFleet(o, policy);
     if (o.command == "plant")
-        return cmdPlant(o);
+        return cmdPlant(o, policy);
     if (o.command == "report")
         return cmdReport(o);
     if (o.command == "validate")
@@ -820,26 +851,37 @@ dispatch(const Options &o)
     return 2;
 }
 
+/** Write the --metrics and --trace files the command collected. */
+void
+writeObsSinks(const Options &o)
+{
+    if (!o.metrics_file.empty())
+        writeKvJsonFile(o.metrics_file, obs::registry().snapshot());
+    if (!o.obs_trace_file.empty())
+        obs::writeTraceFile(o.obs_trace_file,
+                            o.trace_format == "chrome"
+                                ? obs::TraceFormat::Chrome
+                                : obs::TraceFormat::Jsonl);
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Options o = parse(argc, argv);
-    // The context owns the obs sink lifecycle (enable before the
-    // command, write metrics/trace files after); commands build
-    // their own spec/trace, so the context's stay empty here.
-    core::StudyContext ctx(platformOf(o),
-                           workload::WorkloadTrace{},
-                           runConfigOf(o));
-    ctx.beginObs();
+    // Either sink turns collection on for the whole command.
+    const bool obs_requested =
+        !o.metrics_file.empty() || !o.obs_trace_file.empty();
+    if (obs_requested)
+        obs::setEnabled(true);
     try {
-        // Every command refuses a non-positive checkpoint interval,
-        // even those that never reach guard::runResumable.
-        ctx.run().checkpoint.validate();
-        int rc = dispatch(o);
-        if (ctx.obsRequested()) {
-            ctx.finishObs();
+        // Every command refuses a bad checkpoint policy, even those
+        // that never reach guard::runResumable.
+        const guard::CheckpointPolicy policy = checkpointPolicyOf(o);
+        int rc = dispatch(o, policy);
+        if (obs_requested) {
+            writeObsSinks(o);
             std::cerr << "profile (wall time inside instrumented "
                          "phases):\n";
             obs::writeProfileTable(std::cerr);
