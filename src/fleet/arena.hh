@@ -64,6 +64,20 @@ struct RowPerturbState
     }
 };
 
+/**
+ * One model's contribution to a fleet sample, read after its load is
+ * set and before it advances; FleetSim's fold sums these.
+ */
+struct RowReadout
+{
+    /** coolingLoad() (W). */
+    double coolingW = 0.0;
+    /** wallPower() (W). */
+    double wallW = 0.0;
+    /** waxMeltFraction(); 0 for a model without wax. */
+    double meltFraction = 0.0;
+};
+
 /** One materialized row: a private server model + its divergences. */
 struct MaterializedRow
 {
@@ -73,6 +87,8 @@ struct MaterializedRow
     std::size_t arena = 0;
     RowPerturbState pert;
     std::unique_ptr<server::ServerModel> model;
+    /** Read-out of the latest sample, stored when the load is set. */
+    RowReadout out;
 };
 
 /**

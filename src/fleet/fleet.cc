@@ -37,6 +37,17 @@ restoreModel(guard::CheckpointReader &r, const std::string &key,
     m.restoreThermalState(r, key);
 }
 
+/** @return What model m contributes to a sample in its current state. */
+RowReadout
+readOut(const server::ServerModel &m)
+{
+    RowReadout out;
+    out.coolingW = m.coolingLoad();
+    out.wallW = m.wallPower();
+    out.meltFraction = m.hasWax() ? m.waxMeltFraction() : 0.0;
+    return out;
+}
+
 } // namespace
 
 std::vector<std::size_t>
@@ -107,6 +118,7 @@ FleetSim::FleetSim(const server::ServerSpec &spec,
     weights_ = arenas_.empty()
         ? std::vector<double>{}
         : workload::placementWeights(cfg_.placement, traits);
+    baseline_out_.resize(arenas_.size());
 
     events_ = generatePerturbations(
         cfg_.seed, static_cast<std::uint32_t>(server_count_),
@@ -245,26 +257,52 @@ FleetSim::applyEventsUpTo(double t)
 }
 
 void
-FleetSim::setLoads(double u)
+FleetSim::setBaselines(double u)
 {
     for (std::size_t i = 0; i < arenas_.size(); ++i) {
         server::ServerModel &b = arenas_[i]->baseline();
         b.setLoad(std::clamp(u * weights_[i], 0.0, 1.0));
         b.network().setObsClock(t_);
+        baseline_out_[i] = readOut(b);
     }
-    for (auto &kv : rows_) {
-        MaterializedRow &row = kv.second;
-        const ArchetypeArena &arena = *arenas_[row.arena];
-        double util = std::clamp(
-            u * weights_[row.arena] + row.pert.utilDelta, 0.0, 1.0);
-        double freq = row.pert.fanPinned
-            ? arena.spec().cpu.minFreqGHz
-            : 0.0;
-        row.model->setLoad(util, freq);
-        row.model->network().setInletTemp(inletTempC +
-                                          row.pert.inletDeltaC);
-        row.model->network().setObsClock(t_);
-    }
+}
+
+void
+FleetSim::setRow(MaterializedRow &row, double u)
+{
+    const ArchetypeArena &arena = *arenas_[row.arena];
+    double util = std::clamp(
+        u * weights_[row.arena] + row.pert.utilDelta, 0.0, 1.0);
+    double freq = row.pert.fanPinned ? arena.spec().cpu.minFreqGHz : 0.0;
+    server::ServerModel &m = *row.model;
+    m.setLoad(util, freq);
+    m.network().setInletTemp(inletTempC + row.pert.inletDeltaC);
+    m.network().setObsClock(t_);
+    row.out = readOut(m);
+}
+
+void
+FleetSim::advanceRows(double u, double dt)
+{
+    if (rows_.empty())
+        return;
+    // Shards own contiguous server ranges; rows are looked up in the
+    // ordered map, which no task mutates while the region runs, and
+    // each task touches only its own rows.
+    std::uint32_t n = static_cast<std::uint32_t>(server_count_);
+    std::uint32_t chunk = static_cast<std::uint32_t>(
+        (server_count_ + shard_count_ - 1) / shard_count_);
+    exec::parallel_for_index(shard_count_, [&](std::size_t k) {
+        std::uint32_t lo = static_cast<std::uint32_t>(k) * chunk;
+        std::uint32_t hi = std::min(n, lo + chunk);
+        if (lo >= hi)
+            return;
+        for (auto itr = rows_.lower_bound(lo);
+             itr != rows_.end() && itr->first < hi; ++itr) {
+            setRow(itr->second, u);
+            itr->second.model->advance(dt, cfg_.thermalStepS);
+        }
+    });
 }
 
 void
@@ -278,24 +316,27 @@ FleetSim::record(double t)
     double it_power = 0.0;
     double melt_sum = 0.0;
     double wax_servers = 0.0;
-    for (const auto &arena : arenas_) {
-        const server::ServerModel &b = arena->baseline();
-        double aliased = static_cast<double>(arena->aliasedCount());
-        cooling += aliased * b.coolingLoad();
-        it_power += aliased * b.wallPower();
-        if (b.hasWax()) {
-            melt_sum += aliased * b.waxMeltFraction();
+    for (std::size_t i = 0; i < arenas_.size(); ++i) {
+        const ArchetypeArena &arena = *arenas_[i];
+        const RowReadout &b = baseline_out_[i];
+        // Rows carry their arena's (spec, wax), like the baseline.
+        bool wax = arena.baseline().hasWax();
+        double aliased = static_cast<double>(arena.aliasedCount());
+        cooling += aliased * b.coolingW;
+        it_power += aliased * b.wallW;
+        if (wax) {
+            melt_sum += aliased * b.meltFraction;
             wax_servers += aliased;
         }
-        std::uint32_t lo = arena->firstServer();
-        std::uint32_t hi = lo + arena->count();
+        std::uint32_t lo = arena.firstServer();
+        std::uint32_t hi = lo + arena.count();
         for (auto itr = rows_.lower_bound(lo);
              itr != rows_.end() && itr->first < hi; ++itr) {
-            const server::ServerModel &m = *itr->second.model;
-            cooling += m.coolingLoad();
-            it_power += m.wallPower();
-            if (m.hasWax()) {
-                melt_sum += m.waxMeltFraction();
+            const RowReadout &r = itr->second.out;
+            cooling += r.coolingW;
+            it_power += r.wallW;
+            if (wax) {
+                melt_sum += r.meltFraction;
                 wax_servers += 1.0;
             }
         }
@@ -311,41 +352,33 @@ FleetSim::record(double t)
     last_cooling_w_ = cooling;
 }
 
-void
-FleetSim::advanceAll(double dt)
-{
-    // Baselines are a handful of rows; serial keeps their obs
-    // streams on the main task and costs nothing next to the fleet.
-    for (auto &arena : arenas_)
-        arena->baseline().advance(dt, cfg_.thermalStepS);
-    if (rows_.empty())
-        return;
-    // Shards own contiguous server ranges; rows are looked up in the
-    // ordered map, which no task mutates while the region runs.
-    std::uint32_t n = static_cast<std::uint32_t>(server_count_);
-    std::uint32_t chunk = static_cast<std::uint32_t>(
-        (server_count_ + shard_count_ - 1) / shard_count_);
-    exec::parallel_for_index(shard_count_, [&](std::size_t k) {
-        std::uint32_t lo = static_cast<std::uint32_t>(k) * chunk;
-        std::uint32_t hi = std::min(n, lo + chunk);
-        if (lo >= hi)
-            return;
-        for (auto itr = rows_.lower_bound(lo);
-             itr != rows_.end() && itr->first < hi; ++itr)
-            itr->second.model->advance(dt, cfg_.thermalStepS);
-    });
-}
-
 double
 FleetSim::step()
 {
     require(!done_, "FleetSim::step: run already finished");
     double u = utilAt(t_);
-    applyEventsUpTo(t_);
-    setLoads(u);
-    record(t_);
     double dt = std::min(cfg_.controlIntervalS, cfg_.durationS - t_);
-    advanceAll(dt);
+    {
+        obs::Scope scope("fleet.step.events");
+        applyEventsUpTo(t_);
+    }
+    {
+        // Baselines are a handful of rows; serial keeps their obs
+        // streams on the main task and costs nothing next to the
+        // fleet.
+        obs::Scope scope("fleet.step.baselines");
+        setBaselines(u);
+        for (auto &arena : arenas_)
+            arena->baseline().advance(dt, cfg_.thermalStepS);
+    }
+    {
+        obs::Scope scope("fleet.step.rows");
+        advanceRows(u, dt);
+    }
+    {
+        obs::Scope scope("fleet.step.fold");
+        record(t_);
+    }
     cooling_energy_j_ += last_cooling_w_ * dt;
     t_ += dt;
     ++control_steps_;
@@ -367,10 +400,14 @@ FleetSim::step()
         materialized.set(static_cast<double>(rows_.size()));
     }
     if (t_ >= cfg_.durationS - 1e-9) {
+        // The horizon sample advances nothing, so its rows are set
+        // and read out serially and it opens no region.
         t_ = cfg_.durationS;
         double uf = utilAt(t_);
         applyEventsUpTo(t_);
-        setLoads(uf);
+        setBaselines(uf);
+        for (auto &kv : rows_)
+            setRow(kv.second, uf);
         record(t_);
         done_ = true;
         TTS_OBS_EVENT(obs::EventKind::PhaseEnd, t_, "fleet.run",

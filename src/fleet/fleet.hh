@@ -15,15 +15,19 @@
  * fleet/perturbation.hh) lazily materialize private rows the moment
  * they diverge.
  *
- * Materialized rows advance sharded across the deterministic
- * exec::ThreadPool.  All randomness is drawn from per-server
- * Rng::forStream sub-streams before stepping begins and every
- * aggregation runs in canonical (arena, server) order, so the entire
- * run - series, peaks, digests - is bit-identical at any thread count
- * and any shard width.  Long runs checkpoint through the CRC-32
- * guard writer (arena baselines + materialized rows + event cursor)
- * and resume bit-identically, and the whole thing is observable
- * through tts::obs (fleet.* metrics, perturbation trace events).
+ * Each control step opens one shard region on the deterministic
+ * exec::ThreadPool: a shard sets the load of every materialized row
+ * in its server range, stores the row's read-out (cooling, wall
+ * power, melt fraction) and advances it.  The arena baselines step
+ * serially before the region, and a serial fold then sums the stored
+ * read-outs.  All randomness is drawn from per-server Rng::forStream
+ * sub-streams before stepping begins and the fold runs in canonical
+ * (arena, server) order, so the entire run - series, peaks, digests
+ * - is bit-identical at any thread count and any shard width.  Long
+ * runs checkpoint through the CRC-32 guard writer (arena baselines +
+ * materialized rows + event cursor) and resume bit-identically, and
+ * the whole thing is observable through tts::obs (fleet.* metrics,
+ * perturbation trace events, fleet.step.* profile scopes).
  */
 
 #ifndef TTS_FLEET_FLEET_HH
@@ -71,9 +75,9 @@ struct FleetConfig
     /** Inner thermal integration step (s). */
     double thermalStepS = 15.0;
     /**
-     * Shards the materialized rows advance in (each shard owns a
-     * contiguous server range); 0 picks the default of 8.  Results
-     * are bit-identical at any width.
+     * Shards of each step's region (each shard owns a contiguous
+     * server range and steps the materialized rows in it); 0 picks
+     * the default of 8.  Results are bit-identical at any width.
      */
     std::size_t shardCount = 0;
     /** Fleet seed: perturbation schedule sub-streams key off it. */
@@ -306,14 +310,33 @@ class FleetSim : public guard::Resumable
     /** Apply every pending event with timeS <= t. */
     void applyEventsUpTo(double t);
 
-    /** Set baseline + row operating points for utilization u. */
-    void setLoads(double u);
+    /**
+     * Set each arena baseline's operating point for utilization u at
+     * t_ and store its read-out; serial, on the calling task.
+     */
+    void setBaselines(double u);
 
-    /** Append the aggregate sample at time t (canonical order). */
+    /**
+     * Set one row's load, inlet and obs clock for utilization u at
+     * t_ and store its read-out in row.out.  Touches nothing but the
+     * row, so shard tasks call it concurrently on disjoint rows.
+     */
+    void setRow(MaterializedRow &row, double u);
+
+    /**
+     * The step's one shard region: each shard sets, reads out
+     * (setRow) and advances by dt the materialized rows of its
+     * server range.  Opens no region when no row is materialized.
+     */
+    void advanceRows(double u, double dt);
+
+    /**
+     * Fold the stored read-outs into the aggregate sample at time t:
+     * the only serial pass over rows, in canonical order (arena by
+     * arena: the aliased baseline contribution, then the arena's
+     * rows in server order).
+     */
     void record(double t);
-
-    /** Advance baselines serially, rows sharded; dt seconds. */
-    void advanceAll(double dt);
 
     FleetConfig cfg_;
     workload::WorkloadTrace trace_;
@@ -322,6 +345,8 @@ class FleetSim : public guard::Resumable
     std::vector<std::unique_ptr<ArchetypeArena>> arenas_;
     /** Per-arena utilization weights from cfg.placement. */
     std::vector<double> weights_;
+    /** Per-arena baseline read-out of the latest sample. */
+    std::vector<RowReadout> baseline_out_;
     /** Materialized rows keyed by server id (canonical order). */
     std::map<std::uint32_t, MaterializedRow> rows_;
     std::vector<PerturbEvent> events_;

@@ -9,9 +9,9 @@
  * per-archetype utilization weights that conserve total fleet load:
  * sum over archetypes of count_a * w_a == sum of count_a, so a
  * fleet-level utilization u becomes u * w_a on archetype a without
- * changing the total offered work.  FleetSim applies the weights in
- * setLoads(); tts::opt searches over the policy as one dimension of
- * its configuration space.
+ * changing the total offered work.  FleetSim applies the weights
+ * when it sets each model's load; tts::opt searches over the policy
+ * as one dimension of its configuration space.
  *
  * WeightedRoundRobinBalancer is the per-job face of the same idea
  * for DCSim-style dispatch: a smooth weighted round-robin whose

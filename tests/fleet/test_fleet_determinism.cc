@@ -1,12 +1,12 @@
 /**
  * @file
- * Fleet determinism matrix: one configuration run at every
- * combination of {1, 4, 16} pool threads x {1, 8, 64} shards must
- * produce bit-identical series, peaks, and state digests.  The
- * contract holds because all randomness is keyed per server
- * (Rng::forStream) and aggregation runs in canonical (arena, server)
- * order - neither the pool width nor the shard width appears
- * anywhere in the arithmetic.
+ * Fleet determinism matrix: a single-platform and a mixed
+ * three-platform fleet, each run at every combination of {1, 4, 16}
+ * pool threads x {1, 3, 8, 64} shards, must produce bit-identical
+ * series, peaks, and state digests.  The contract holds because all
+ * randomness is keyed per server (Rng::forStream) and aggregation
+ * runs in canonical (arena, server) order - neither the pool width
+ * nor the shard width appears anywhere in the arithmetic.
  */
 
 #include <gtest/gtest.h>
@@ -23,25 +23,29 @@ namespace fleet {
 namespace {
 
 FleetConfig
-matrixConfig(std::size_t shards)
+matrixConfig(std::size_t shards, bool mixed = false)
 {
     FleetConfig cfg;
-    cfg.run.serverCount = 96;
+    // The mixed fleet's arenas hold 34, 33 and 33 servers, so at
+    // every width above one some shard range spans two arenas.
+    cfg.run.serverCount = mixed ? 100 : 96;
     cfg.run.utilization = 0.6;
     cfg.durationS = 3.0 * 3600.0;
     cfg.controlIntervalS = 300.0;
     cfg.thermalStepS = 60.0;
     cfg.shardCount = shards;
     cfg.perturb.eventsPerServerDay = 6.0;
+    cfg.mixedPlatforms = mixed;
     return cfg;
 }
 
 FleetResult
-runMatrixCell(std::size_t threads, std::size_t shards)
+runMatrixCell(std::size_t threads, std::size_t shards,
+              bool mixed = false)
 {
     exec::setGlobalThreads(threads);
     FleetSim sim(server::rd330Spec(), workload::WorkloadTrace{},
-                 matrixConfig(shards));
+                 matrixConfig(shards, mixed));
     EXPECT_TRUE(sim.run());
     FleetResult r = sim.take();
     exec::setGlobalThreads(1);
@@ -58,29 +62,32 @@ expectSameSeries(const TimeSeries &a, const TimeSeries &b)
 TEST(FleetDeterminism, ThreadByShardMatrixIsBitIdentical)
 {
     const std::vector<std::size_t> threads = {1, 4, 16};
-    const std::vector<std::size_t> shards = {1, 8, 64};
+    const std::vector<std::size_t> shards = {1, 3, 8, 64};
 
-    FleetResult ref = runMatrixCell(1, 1);
-    ASSERT_GT(ref.eventsApplied, 0u);
-    ASSERT_GT(ref.materializedRows, 0u);
-    ASSERT_LT(ref.materializedRows, ref.serverCount);
+    for (bool mixed : {false, true}) {
+        SCOPED_TRACE(mixed ? "mixed fleet" : "single-platform fleet");
+        FleetResult ref = runMatrixCell(1, 1, mixed);
+        ASSERT_GT(ref.eventsApplied, 0u);
+        ASSERT_GT(ref.materializedRows, 0u);
+        ASSERT_LT(ref.materializedRows, ref.serverCount);
 
-    for (std::size_t t : threads) {
-        for (std::size_t s : shards) {
-            if (t == 1 && s == 1)
-                continue;
-            SCOPED_TRACE("threads=" + std::to_string(t) +
-                         " shards=" + std::to_string(s));
-            FleetResult r = runMatrixCell(t, s);
-            EXPECT_EQ(r.stateDigest, ref.stateDigest);
-            EXPECT_EQ(r.materializedRows, ref.materializedRows);
-            EXPECT_EQ(r.eventsApplied, ref.eventsApplied);
-            EXPECT_EQ(r.peakCoolingW, ref.peakCoolingW);
-            EXPECT_EQ(r.peakItPowerW, ref.peakItPowerW);
-            EXPECT_EQ(r.coolingEnergyJ, ref.coolingEnergyJ);
-            expectSameSeries(r.coolingLoadW, ref.coolingLoadW);
-            expectSameSeries(r.itPowerW, ref.itPowerW);
-            expectSameSeries(r.meltFraction, ref.meltFraction);
+        for (std::size_t t : threads) {
+            for (std::size_t s : shards) {
+                if (t == 1 && s == 1)
+                    continue;
+                SCOPED_TRACE("threads=" + std::to_string(t) +
+                             " shards=" + std::to_string(s));
+                FleetResult r = runMatrixCell(t, s, mixed);
+                EXPECT_EQ(r.stateDigest, ref.stateDigest);
+                EXPECT_EQ(r.materializedRows, ref.materializedRows);
+                EXPECT_EQ(r.eventsApplied, ref.eventsApplied);
+                EXPECT_EQ(r.peakCoolingW, ref.peakCoolingW);
+                EXPECT_EQ(r.peakItPowerW, ref.peakItPowerW);
+                EXPECT_EQ(r.coolingEnergyJ, ref.coolingEnergyJ);
+                expectSameSeries(r.coolingLoadW, ref.coolingLoadW);
+                expectSameSeries(r.itPowerW, ref.itPowerW);
+                expectSameSeries(r.meltFraction, ref.meltFraction);
+            }
         }
     }
 }

@@ -3,8 +3,10 @@
 # fleet (48 servers, a quarter day, 2 perturbation events per
 # server-day; well under a second):
 #
-#  - --metrics and --trace write their files, and the metrics carry
-#    fleet.control_steps;
+#  - --metrics and --trace write their files, the metrics carry
+#    fleet.control_steps, and the stderr profile table times the four
+#    phases of a fleet step (fleet.step.events, .baselines, .rows,
+#    .fold);
 #  - the trace is byte-identical at TTS_THREADS=1 and 8, and holds
 #    melt.refrozen events from the materialized rows' shard regions;
 #  - --checkpoint=C --stop-after=7200 then --resume=C prints the
@@ -46,6 +48,10 @@ for t in 1 8; do
 done
 grep -q '"fleet.control_steps"' "$dir/m1.json" ||
     fail "metrics lack fleet.control_steps"
+for phase in events baselines rows fold; do
+    grep -q "^fleet\.step\.$phase " "$dir/obs1.err" ||
+        fail "profile table lacks fleet.step.$phase"
+done
 grep -q '"kind":"melt.refrozen"' "$dir/t1.jsonl" ||
     fail "trace lacks melt.refrozen events"
 cmp -s "$dir/t1.jsonl" "$dir/t8.jsonl" ||

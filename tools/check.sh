@@ -13,7 +13,8 @@
 #     BENCH_thermal.json at the repo root.
 #  2. ThreadSanitizer tree (build-tsan/, TTS_SANITIZE=thread): the
 #     exec, fault, obs, fleet, opt, plant and serve suites at 8
-#     threads, the DCSim tests, and the multi-client socket soak.
+#     threads, the DCSim tests, the multi-client socket soak, and the
+#     tts_sim CLI smoke (a fleet with metrics, trace and profile on).
 #  3. ASan+UBSan tree (build-asan/, TTS_SANITIZE=address): the guard
 #     and util suites, cluster and fleet save/restore, the thermal
 #     kernel, plant kill/resume, and the serve parsers (frames,
@@ -87,7 +88,7 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-tsan -j \
     --target tts_exec_test tts_workload_test tts_fault_test \
     tts_obs_test tts_fleet_test tts_opt_test tts_plant_test \
-    tts_serve_test > /dev/null
+    tts_serve_test tts_sim > /dev/null
 
 echo "== TSan: exec engine, 8 threads =="
 TTS_THREADS=8 ./build-tsan/tests/tts_exec_test
@@ -100,6 +101,12 @@ echo "== TSan: obs trace/metrics/profile, 8 threads =="
 TTS_THREADS=8 ./build-tsan/tests/tts_obs_test
 echo "== TSan: sharded fleet sim, 8 threads =="
 TTS_THREADS=8 ./build-tsan/tests/tts_fleet_test
+echo "== TSan: tts_sim CLI smoke, fleet with obs on at 1 and 8 threads =="
+# The only lane that steps a fleet with obs enabled: per-row obs
+# clocks, melt events and profile scopes on worker threads.  A race
+# report makes tts_sim exit non-zero, which fails the smoke.
+sh tests/tools/tts_sim_cli_smoke.sh ./build-tsan/tools/tts_sim \
+    build-tsan/tts_sim_cli_smoke
 echo "== TSan: wax-placement search, 8 threads =="
 TTS_THREADS=8 ./build-tsan/tests/tts_opt_test
 echo "== TSan: cooling-plant backends + MPC, 8 threads =="
