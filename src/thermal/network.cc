@@ -214,7 +214,17 @@ ServerThermalNetwork::refreshKernelCaches() const
 }
 
 void
-ServerThermalNetwork::airWalk(const std::vector<double> &h,
+ServerThermalNetwork::nodeTemps(const std::vector<double> &h,
+                                std::vector<double> &t) const
+{
+    const std::size_t n = names_.size();
+    t.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        t[i] = tempOf(i, h[i]);
+}
+
+void
+ServerThermalNetwork::airWalk(const std::vector<double> &t_node,
                               std::vector<double> &t_mixed,
                               std::vector<double> &t_local) const
 {
@@ -228,7 +238,7 @@ ServerThermalNetwork::airWalk(const std::vector<double> &h,
 
     auto node_heat = [&](std::size_t i, std::size_t z,
                          double t_air) {
-        double tn = tempOf(i, h[i]);
+        double tn = t_node[i];
         if (!std::isfinite(tn)) {
             throw guard::NumericsError(
                 "airWalk: non-finite temperature at node '" +
@@ -266,18 +276,22 @@ void
 ServerThermalNetwork::rhs(const std::vector<double> &h,
                           std::vector<double> &dh) const
 {
-    airWalk(h, t_mixed_scratch_, t_local_scratch_);
+    // One temperature per node per call, read by the air walk, the
+    // node balances and the links alike.  tempOf() is a pure function
+    // of (i, h[i]), so this matches evaluating it at each use bit for
+    // bit.
+    nodeTemps(h, t_node_scratch_);
+    const std::vector<double> &temp = t_node_scratch_;
+    airWalk(temp, t_mixed_scratch_, t_local_scratch_);
     const std::size_t n = names_.size();
     dh.assign(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-        double t = tempOf(i, h[i]);
+        double t = temp[i];
         double t_air = t_local_scratch_[zone_[i]];
         dh[i] = power_[i] - uaAt(i, t, t_air) * (t - t_air);
     }
     for (const auto &link : links_) {
-        double ta = tempOf(link.a, h[link.a]);
-        double tb = tempOf(link.b, h[link.b]);
-        double q = link.conductance * (ta - tb);
+        double q = link.conductance * (temp[link.a] - temp[link.b]);
         dh[link.a] -= q;
         dh[link.b] += q;
     }
@@ -595,19 +609,21 @@ ServerThermalNetwork::solveSteadyState()
     // Gauss-Seidel on the per-node balances interleaved with air
     // walks.  Converges fast because air-to-node coupling dominates.
     const std::size_t n = names_.size();
-    std::vector<double> t(n);
-    for (std::size_t i = 0; i < n; ++i)
-        t[i] = tempOf(i, state_[i]);
+    std::vector<double> t;
+    nodeTemps(state_, t);
 
-    std::vector<double> t_mixed, t_local;
+    std::vector<double> t_walk, t_mixed, t_local;
     for (int iter = 0; iter < 500; ++iter) {
-        // Convert temps back to enthalpies for the walk.
+        // Convert temps back to enthalpies for the walk, which reads
+        // the temperatures of those enthalpies (not t itself: the
+        // round trip through a PCM curve need not be exact).
         for (std::size_t i = 0; i < n; ++i) {
             state_[i] = element_[i]
                 ? element_[i]->activeCurve().enthalpyAt(t[i])
                 : capacity_[i] * t[i];
         }
-        airWalk(state_, t_mixed, t_local);
+        nodeTemps(state_, t_walk);
+        airWalk(t_walk, t_mixed, t_local);
         double max_delta = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
             double ua = uaAt(i, t[i], t_local[zone_[i]]);
@@ -661,7 +677,8 @@ double
 ServerThermalNetwork::zoneAirTemp(std::size_t zone) const
 {
     require(zone <= zone_count_, "zoneAirTemp: zone out of range");
-    airWalk(state_, t_mixed_scratch_, t_local_scratch_);
+    nodeTemps(state_, t_node_scratch_);
+    airWalk(t_node_scratch_, t_mixed_scratch_, t_local_scratch_);
     if (zone == zone_count_)
         return t_mixed_scratch_[zone_count_];
     return t_local_scratch_[zone];
@@ -671,7 +688,8 @@ double
 ServerThermalNetwork::zoneMixedTemp(std::size_t zone) const
 {
     require(zone <= zone_count_, "zoneMixedTemp: zone out of range");
-    airWalk(state_, t_mixed_scratch_, t_local_scratch_);
+    nodeTemps(state_, t_node_scratch_);
+    airWalk(t_node_scratch_, t_mixed_scratch_, t_local_scratch_);
     return t_mixed_scratch_[zone];
 }
 

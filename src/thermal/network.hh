@@ -351,16 +351,27 @@ class ServerThermalNetwork
     void refreshKernelCaches() const;
 
     /**
-     * Walk the air path for the given node enthalpies.
+     * Evaluate every node's temperature once: t[i] = tempOf(i, h[i]).
+     * A PCM node's lookup is a curve inversion, so the air walk, the
+     * node balances and the conduction links all read this one pass.
+     */
+    void nodeTemps(const std::vector<double> &h,
+                   std::vector<double> &t) const;
+
+    /**
+     * Walk the air path for the given node temperatures.
      *
-     * @param h       Node enthalpies.
+     * @param t_node  Node temperatures (from nodeTemps()); a
+     *                non-finite one throws guard::NumericsError naming
+     *                the first such node in walk order (zone by zone,
+     *                ascending ids within a zone).
      * @param t_mixed Output: fully-mixed stream temperature entering
      *                each zone (size zone_count + 1; last entry is
      *                the outlet).
      * @param t_local Output: local (plume-corrected) temperature seen
      *                by nodes in each zone (size zone_count).
      */
-    void airWalk(const std::vector<double> &h,
+    void airWalk(const std::vector<double> &t_node,
                  std::vector<double> &t_mixed,
                  std::vector<double> &t_local) const;
 
@@ -417,6 +428,7 @@ class ServerThermalNetwork
     std::vector<double> plume_fraction_;
     std::vector<double> state_;          //!< Node enthalpies (J).
     RungeKutta4 stepper_;
+    mutable std::vector<double> t_node_scratch_;
     mutable std::vector<double> t_mixed_scratch_;
     mutable std::vector<double> t_local_scratch_;
 

@@ -68,6 +68,18 @@ require(bool cond, const std::string &msg)
 }
 
 /**
+ * require() for a literal message: the std::string is built only when
+ * the condition fails, so a passing check on a hot path allocates
+ * nothing.
+ */
+inline void
+require(bool cond, const char *msg)
+{
+    if (!cond)
+        fatal(msg);
+}
+
+/**
  * Validate an internal invariant; calls panic() on failure.
  *
  * @param cond Condition that must hold.
@@ -75,6 +87,14 @@ require(bool cond, const std::string &msg)
  */
 inline void
 invariant(bool cond, const std::string &msg)
+{
+    if (!cond)
+        panic(msg);
+}
+
+/** invariant() for a literal message; allocates only on failure. */
+inline void
+invariant(bool cond, const char *msg)
 {
     if (!cond)
         panic(msg);

@@ -19,6 +19,7 @@ PiecewiseLinear::PiecewiseLinear(
         xs_.push_back(x);
         ys_.push_back(y);
     }
+    updateIncreasing();
 }
 
 void
@@ -30,6 +31,7 @@ PiecewiseLinear::addPoint(double x, double y)
     std::size_t idx = it - xs_.begin();
     xs_.insert(xs_.begin() + idx, x);
     ys_.insert(ys_.begin() + idx, y);
+    updateIncreasing();
 }
 
 double
@@ -40,6 +42,10 @@ PiecewiseLinear::operator()(double x) const
         return ys_.front();
     if (x >= xs_.back())
         return ys_.back();
+    // Only a NaN gets past both clamps without lying inside the
+    // domain; the search below would return end() for it.
+    if (std::isnan(x))
+        return x;
     auto it = std::upper_bound(xs_.begin(), xs_.end(), x);
     std::size_t i = (it - xs_.begin()) - 1;
     double t = (x - xs_[i]) / (xs_[i + 1] - xs_[i]);
@@ -57,6 +63,8 @@ PiecewiseLinear::inverse(double y) const
         return xs_.front();
     if (y >= ys_.back())
         return xs_.back();
+    if (std::isnan(y))
+        return y;
     auto it = std::upper_bound(ys_.begin(), ys_.end(), y);
     std::size_t i = (it - ys_.begin()) - 1;
     double t = (y - ys_[i]) / (ys_[i + 1] - ys_[i]);
@@ -103,14 +111,13 @@ PiecewiseLinear::maxX() const
     return xs_.back();
 }
 
-bool
-PiecewiseLinear::strictlyIncreasing() const
+void
+PiecewiseLinear::updateIncreasing()
 {
-    for (std::size_t i = 1; i < ys_.size(); ++i) {
-        if (ys_[i] <= ys_[i - 1])
-            return false;
-    }
-    return true;
+    increasing_ = std::adjacent_find(ys_.begin(), ys_.end(),
+                                     [](double a, double b) {
+                                         return b <= a;
+                                     }) == ys_.end();
 }
 
 } // namespace tts

@@ -48,7 +48,7 @@ class PiecewiseLinear
      * Evaluate the curve at x with clamped extrapolation.
      *
      * @param x Point of evaluation.
-     * @return Interpolated value.
+     * @return Interpolated value; NaN for a NaN x.
      */
     double operator()(double x) const;
 
@@ -57,7 +57,8 @@ class PiecewiseLinear
      * strictly monotone in y.
      *
      * @param y Target ordinate.
-     * @return The x with f(x) == y, clamped to the domain.
+     * @return The x with f(x) == y, clamped to the domain; NaN for a
+     *         NaN y.
      */
     double inverse(double y) const;
 
@@ -83,13 +84,22 @@ class PiecewiseLinear
     double maxX() const;
 
     /** @return True if y values are strictly increasing in x. */
-    bool strictlyIncreasing() const;
+    bool strictlyIncreasing() const { return increasing_; }
 
   private:
+    /** Recompute increasing_ from ys_ (after any change to ys_). */
+    void updateIncreasing();
+
     /** Sorted breakpoint abscissae. */
     std::vector<double> xs_;
     /** Ordinates matching xs_. */
     std::vector<double> ys_;
+    /**
+     * Whether ys_ is strictly increasing, kept current by the
+     * constructor and addPoint() so inverse() tests a flag instead of
+     * rescanning the curve on every lookup.
+     */
+    bool increasing_ = true;
 };
 
 } // namespace tts

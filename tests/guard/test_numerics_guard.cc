@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "guard/numerics.hh"
+#include "pcm/material.hh"
+#include "pcm/pcm_element.hh"
 #include "thermal/network.hh"
 #include "util/error.hh"
 
@@ -194,6 +196,51 @@ TEST(NumericsGuard, AirWalkNamesANonFiniteNode)
     } catch (const guard::NumericsError &e) {
         EXPECT_EQ(e.node(), "dram");
         EXPECT_EQ(e.zone(), 1);
+    }
+}
+
+TEST(NumericsGuard, AirWalkNamesTheFirstNonFiniteNodeInWalkOrder)
+{
+    // Ids run against the air here: the rear node is added first.
+    // Temperatures are evaluated in id order, but the error names the
+    // first bad node the air meets.
+    ServerThermalNetwork net(testAirflow(), 2, 25.0);
+    net.addCapacityNode("rear", 800.0, coupling(4.0), 1, 25.0);
+    net.addCapacityNode("front", 500.0, coupling(5.0), 0, 25.0);
+    guard::GuardConfig off;
+    off.enabled = false;
+    net.setGuardConfig(off);
+    net.setEnthalpies({kNan, kNan});
+    try {
+        net.advance(1.0, 1.0);
+        FAIL() << "NaN enthalpy not detected";
+    } catch (const guard::NumericsError &e) {
+        EXPECT_EQ(e.node(), "front");
+        EXPECT_EQ(e.zone(), 0);
+    }
+}
+
+TEST(NumericsGuard, NanStageEnthalpyAtAPcmNodeIsATypedError)
+{
+    // A NaN inlet makes the first stage's dH/dt NaN, so the second
+    // stage looks up the wax temperature at a NaN enthalpy.  The curve
+    // lookup must answer NaN without reading past its breakpoints, and
+    // the air walk then names the node.
+    ServerThermalNetwork net(testAirflow(), 1, 25.0);
+    pcm::BoxSpec box{0.1, 0.08, 0.02};
+    pcm::ContainerBank bank(box, 2, 0.019);
+    pcm::PcmElement wax(pcm::commercialParaffin(), bank, 40.0, 25.0);
+    net.addPcmNode("wax", &wax, 0);
+    guard::GuardConfig off;
+    off.enabled = false;
+    net.setGuardConfig(off);
+    net.setInletTemp(kNan);
+    try {
+        net.advance(1.0, 1.0);
+        FAIL() << "NaN stage enthalpy not detected";
+    } catch (const guard::NumericsError &e) {
+        EXPECT_EQ(e.node(), "wax");
+        EXPECT_EQ(e.zone(), 0);
     }
 }
 

@@ -67,5 +67,23 @@ TEST(Error, InvariantThrowsOnFalse)
     EXPECT_THROW(invariant(false, "always"), PanicError);
 }
 
+TEST(Error, LiteralMessagesKeepTheirText)
+{
+    // A literal message takes the overload that builds its string
+    // only on failure; the thrown text must not change.
+    try {
+        require(false, "x");
+        FAIL() << "require() returned";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "fatal: x");
+    }
+    try {
+        invariant(false, "x");
+        FAIL() << "invariant() returned";
+    } catch (const PanicError &e) {
+        EXPECT_STREQ(e.what(), "panic: x");
+    }
+}
+
 } // namespace
 } // namespace tts

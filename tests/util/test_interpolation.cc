@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/error.hh"
 #include "util/interpolation.hh"
@@ -136,6 +137,37 @@ TEST(PiecewiseLinear, StrictlyIncreasingDetection)
     EXPECT_TRUE(PiecewiseLinear({{0.0, 0.0}, {1.0, 1.0}})
                     .strictlyIncreasing());
     EXPECT_FALSE(rampCurve().strictlyIncreasing());
+}
+
+TEST(PiecewiseLinear, AddPointThatBreaksMonotonicityMakesInverseThrow)
+{
+    PiecewiseLinear f;
+    f.addPoint(0.0, 10.0);
+    f.addPoint(2.0, 20.0);
+    f.addPoint(5.0, 50.0);
+    ASSERT_TRUE(f.strictlyIncreasing());
+    EXPECT_DOUBLE_EQ(f.inverse(15.0), 1.0);
+    f.addPoint(1.0, 30.0);  // 10, 30, 20, 50: no longer monotone.
+    EXPECT_FALSE(f.strictlyIncreasing());
+    EXPECT_THROW(f.inverse(15.0), FatalError);
+}
+
+TEST(PiecewiseLinear, NanArgumentReadsNothingPastTheCurve)
+{
+    // A NaN passes both end clamps; the segment search then finds no
+    // breakpoint above it and must not read one past the last.  The
+    // ASan lane turns such a read into a heap-buffer-overflow.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    PiecewiseLinear f({{0.0, 10.0}, {2.0, 20.0}, {5.0, 50.0}});
+    EXPECT_TRUE(std::isnan(f(nan)));
+    EXPECT_TRUE(std::isnan(f.inverse(nan)));
+    EXPECT_TRUE(std::isnan(f.integral(nan, 1.0)));
+    // Infinities still clamp to the ends.
+    EXPECT_EQ(f(inf), 50.0);
+    EXPECT_EQ(f(-inf), 10.0);
+    EXPECT_EQ(f.inverse(inf), 5.0);
+    EXPECT_EQ(f.inverse(-inf), 0.0);
 }
 
 } // namespace

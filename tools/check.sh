@@ -16,9 +16,12 @@
 #     threads, the DCSim tests, the multi-client socket soak, and the
 #     tts_sim CLI smoke (a fleet with metrics, trace and profile on).
 #  3. ASan+UBSan tree (build-asan/, TTS_SANITIZE=address): the guard
-#     and util suites, cluster and fleet save/restore, the thermal
-#     kernel, plant kill/resume, and the serve parsers (frames,
-#     requests, manifests).
+#     and util suites, cluster and fleet save/restore, the PCM
+#     enthalpy curve and element, the thermal kernel, plant
+#     kill/resume, and the serve parsers (frames, requests,
+#     manifests).  tts_hot_path_alloc_test stays out of both
+#     sanitizer trees: it replaces operator new, which their runtimes
+#     interpose.
 #
 # Wall-clock performance is not gated here: perfbench/ (see
 # BENCHMARK.json) times the fleet, opt and serve paths.
@@ -129,15 +132,17 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTTS_SANITIZE=address > /dev/null
 cmake --build build-asan -j \
     --target tts_guard_test tts_util_test tts_workload_test \
-    tts_thermal_test tts_fleet_test tts_plant_test \
+    tts_pcm_test tts_thermal_test tts_fleet_test tts_plant_test \
     tts_serve_test > /dev/null
 
 echo "== ASan: numerical guard + checkpoint resume + state codecs =="
 ./build-asan/tests/tts_guard_test
-echo "== ASan: integrator + kv_json + rng =="
+echo "== ASan: integrator + interpolation + kv_json + rng =="
 ./build-asan/tests/tts_util_test
 echo "== ASan: cluster simulator save/restore =="
 ./build-asan/tests/tts_workload_test --gtest_filter='ClusterSim*'
+echo "== ASan: PCM enthalpy curve + element (the kernel's lookups) =="
+./build-asan/tests/tts_pcm_test
 echo "== ASan: SoA thermal kernel + airflow memo =="
 ./build-asan/tests/tts_thermal_test
 echo "== ASan: fleet checkpoint save/restore + digest oracle =="
