@@ -12,9 +12,9 @@
  *     (caches disabled, the pre-refactor per-call re-solve), single
  *     thread.  Fails below --min-speedup (default 2.0).
  *  2. Bit-identity: the two kernels' final PCM enthalpy states must
- *     match bit for bit, and a 16-server fleet advanced through
- *     advanceServers() must produce bit-identical state at 1 and 8
- *     threads.
+ *     match bit for bit, and a 16-server fleet stepped one server per
+ *     exec::parallel_for_index task must produce bit-identical state
+ *     at 1 and 8 threads.
  *
  * Writes flat kv-json (ns/step, steps/s, speedup) to stdout and,
  * with --out=FILE, to the file CI tracks (BENCH_thermal.json).
@@ -117,7 +117,8 @@ runArm(const thermal::KernelConfig &cfg, double horizon_s,
     return out;
 }
 
-/** Fleet end state after advanceServers() at the given width. */
+/** Fleet end state after stepping every server in parallel, one
+ *  task per server, at the given width. */
 std::vector<double>
 runFleet(std::size_t threads, double horizon_s, double step_s)
 {
@@ -132,13 +133,12 @@ runFleet(std::size_t threads, double horizon_s, double step_s)
         fleet[i].setLoad(0.4 + 0.03 * i);
         fleet[i].solveSteadyState();
     }
-    std::vector<server::ServerModel *> ptrs;
-    for (auto &s : fleet)
-        ptrs.push_back(&s);
     for (double t = 0.0; t < horizon_s; t += step_s) {
         for (std::size_t i = 0; i < fleet.size(); ++i)
             fleet[i].setLoad(loadAt(t + 3600.0 * i));
-        server::advanceServers(ptrs, step_s, step_s);
+        exec::parallel_for_index(fleet.size(), [&](std::size_t i) {
+            fleet[i].advance(step_s, step_s);
+        });
     }
     std::vector<double> state;
     for (auto &s : fleet) {

@@ -144,8 +144,8 @@ class ThermalArmSim
         fan_srv_.setLoad(u_, floor_ghz_);
         fan_srv_.network().setInletTemp(room_.airTemp());
         fan_srv_.network().setObsClock(t_);
-        server::advanceServers({&srv_, &fan_srv_}, opt_.stepS,
-                               opt_.stepS);
+        srv_.advance(opt_.stepS, opt_.stepS);
+        fan_srv_.advance(opt_.stepS, opt_.stepS);
 
         double alive_frac =
             static_cast<double>(inj_.aliveServers()) / sample_;

@@ -17,8 +17,7 @@
  * analogue of the daemon's single-flight coalescing.  When the
  * window closes the leader runs the sweep while members wait; every
  * member then copies its own slot.  A sweep failure propagates to
- * every member (each caller's own retry ladder decides what to do
- * next).
+ * every member, and each caller maps it to its own typed reply.
  *
  * Determinism: each sweep job is an independent fleet run, so a
  * request's result does not depend on who else shared its batch -

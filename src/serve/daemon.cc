@@ -34,8 +34,6 @@ struct Metrics
     obs::Counter &shed = obs::registry().counter("serve.shed.total");
     obs::Counter &hits =
         obs::registry().counter("serve.cache.hit.total");
-    obs::Counter &retries =
-        obs::registry().counter("serve.retry.total");
     obs::Counter &coalesced =
         obs::registry().counter("serve.coalesced.total");
     obs::Counter &repliesOk =
@@ -87,7 +85,6 @@ DaemonStats::toMap() const
 struct Daemon::Job
 {
     std::string json;
-    std::uint64_t seq = 0;
     Clock::time_point admitted;
     /** Runs exactly once with the reply (worker thread, or the
      *  submitter's thread for an immediate rejection). */
@@ -104,16 +101,14 @@ struct Daemon::Flight
     Reply reply;
 };
 
-Daemon::Daemon(DaemonConfig config, ServeFaultPlan faults)
-    : config_(std::move(config)), faults_(std::move(faults)),
+Daemon::Daemon(DaemonConfig config, Evaluator evaluate)
+    : config_(std::move(config)), evaluate_(std::move(evaluate)),
       cache_(config_.cache), batcher_(config_.batch)
 {
     require(config_.queueCapacity >= 1,
             "serve daemon: queueCapacity must be >= 1");
-    require(config_.retryBudget >= 1,
-            "serve daemon: retryBudget must be >= 1");
-    require(config_.retryBackoffBaseMs >= 0.0,
-            "serve daemon: retryBackoffBaseMs must be >= 0");
+    require(static_cast<bool>(evaluate_),
+            "serve daemon: evaluator must be callable");
     if (config_.workers == 0)
         config_.workers = exec::defaultThreadCount();
     loadOutcome_ = cache_.load();
@@ -169,7 +164,6 @@ Daemon::submitAsync(std::string request_json,
             ++stats_.shed;
             ++stats_.repliesError;
         } else {
-            job->seq = nextSeq_++;
             ++stats_.accepted;
             queue_.push_back(std::move(job));
             stats_.queuePeak =
@@ -351,7 +345,7 @@ Daemon::process(Job &job)
         TTS_OBS_COUNT(metrics().hits, 1);
         reply = Reply::okReply(fp, true, 0.0, std::move(cached));
     } else {
-        reply = evaluateWithRetries(req, canonical, job.seq, fp);
+        reply = evaluateMiss(req, canonical, fp);
         if (reply.ok)
             cache_.insert(fp, canonical, reply.result);
     }
@@ -372,69 +366,33 @@ Daemon::process(Job &job)
 }
 
 Reply
-Daemon::evaluateWithRetries(const Request &req,
-                            const std::string &canonical,
-                            std::uint64_t seq, std::uint64_t fp)
+Daemon::evaluateMiss(const Request &req, const std::string &canonical,
+                     std::uint64_t fp)
 {
-    const std::size_t injected = faults_.crashAttempts(seq);
-    std::string last;
-    for (std::size_t attempt = 0; attempt < config_.retryBudget;
-         ++attempt) {
-        try {
-            if (attempt < injected)
-                throw TransientWorkerFailure(
-                    "injected worker crash (attempt " +
-                    std::to_string(attempt + 1) + ")");
-            const Clock::time_point t0 = Clock::now();
-            // Fleet-backed misses ride the shared batcher so
-            // concurrent misses execute as one sweep; the retry
-            // ladder and fault injection wrap it the same way they
-            // wrap an individual evaluation.
-            Result result = batchable(req)
-                ? batcher_.evaluate(req, canonical)
-                : evaluate(req);
-            const double eval_ms = msSince(t0);
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.evaluations;
-            }
-            TTS_OBS_OBSERVE(metrics().evalMs, eval_ms);
-            return Reply::okReply(fp, false, eval_ms,
-                                  std::move(result));
-        } catch (const TransientWorkerFailure &e) {
-            last = e.what();
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.retries;
-            }
-            TTS_OBS_COUNT(metrics().retries, 1);
-            if (attempt + 1 < config_.retryBudget &&
-                config_.retryBackoffBaseMs > 0.0) {
-                const double backoff_ms =
-                    config_.retryBackoffBaseMs *
-                    static_cast<double>(std::uint64_t{1} << attempt);
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(
-                        backoff_ms));
-            }
-        } catch (const Error &e) {
-            // Evaluation rejected the request's semantics (e.g. an
-            // unknown scenario name): a client error, not a worker
-            // failure, and never worth retrying.
-            return Reply::errorReply(ErrorKind::Malformed, e.what(),
-                                     fp);
-        } catch (const std::exception &e) {
-            return Reply::errorReply(
-                ErrorKind::WorkerFailed,
-                std::string("evaluation died: ") + e.what(), fp);
+    try {
+        const Clock::time_point t0 = Clock::now();
+        // Fleet-backed misses ride the shared batcher so concurrent
+        // misses execute as one sweep.
+        Result result = batchable(req)
+            ? batcher_.evaluate(req, canonical)
+            : evaluate_(req);
+        const double eval_ms = msSince(t0);
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.evaluations;
         }
+        TTS_OBS_OBSERVE(metrics().evalMs, eval_ms);
+        return Reply::okReply(fp, false, eval_ms, std::move(result));
+    } catch (const Error &e) {
+        // Evaluation rejected the request's semantics (e.g. an
+        // unknown scenario name): a client error, not a worker
+        // failure.
+        return Reply::errorReply(ErrorKind::Malformed, e.what(), fp);
+    } catch (const std::exception &e) {
+        return Reply::errorReply(
+            ErrorKind::WorkerFailed,
+            std::string("evaluation died: ") + e.what(), fp);
     }
-    return Reply::errorReply(
-        ErrorKind::WorkerFailed,
-        "evaluation failed " +
-            std::to_string(config_.retryBudget) +
-            " attempts; last: " + last,
-        fp);
 }
 
 void

@@ -14,13 +14,13 @@
  *  2. coalesced - an identical request is already evaluating, so
  *     this one waits for that result instead of re-running it
  *     (single-flight);
- *  3. fresh evaluation - run on a worker, with transient failures
- *     retried under an exponential-backoff budget;
+ *  3. fresh evaluation - run once on a worker;
  *  4. deadline_exceeded - admitted, but its deadline passed before
  *     a worker could start it;
  *  5. overloaded - the admission queue is full; shed immediately
  *     (an instant typed reply, never an unbounded wait);
- *  6. worker_failed - evaluation kept dying past the retry budget;
+ *  6. worker_failed - evaluation threw something other than a typed
+ *     tts::Error (which is a malformed request, not a failure);
  *  7. shutdown - the daemon is draining; the client should retry
  *     against a fresh instance.
  *
@@ -37,7 +37,7 @@
  * Crash-safety: the cache persists through guard's CRC'd tmp+rename
  * checkpoint path on shutdown() (and optionally every N inserts),
  * and a corrupt snapshot quarantines instead of aborting startup.
- * Observability: `serve.*` metrics (queue depth, hit/shed/retry
+ * Observability: `serve.*` metrics (queue depth, hit/shed/coalesce
  * counters, latency histograms) when tts::obs collection is on.
  */
 
@@ -59,7 +59,7 @@
 
 #include "cache/result_cache.hh"
 #include "serve/batch.hh"
-#include "serve/fault.hh"
+#include "serve/eval.hh"
 #include "serve/protocol.hh"
 
 namespace tts {
@@ -75,11 +75,6 @@ struct DaemonConfig
     /** Deadline applied when a request carries none (ms); 0 = no
      *  default deadline. */
     double defaultDeadlineMs = 0.0;
-    /** Evaluation attempts per request (>= 1); transient failures
-     *  are retried up to this many times in total. */
-    std::size_t retryBudget = 3;
-    /** Backoff before retry attempt k is 2^(k-1) times this (ms). */
-    double retryBackoffBaseMs = 0.5;
     /** Largest request document accepted (bytes). */
     std::size_t maxRequestBytes = 64 * 1024;
     /** Result cache sizing/persistence. */
@@ -101,6 +96,8 @@ struct DaemonStats
     std::uint64_t unsupportedVersion = 0;
     std::uint64_t deadlineExceeded = 0;
     std::uint64_t workerFailed = 0;
+    /** Always 0: a miss is evaluated once.  Kept so the reported
+     *  `serve.retries` key stays stable for its readers. */
     std::uint64_t retries = 0;
     std::uint64_t coalesced = 0;
     std::uint64_t evaluations = 0;
@@ -110,6 +107,9 @@ struct DaemonStats
     std::map<std::string, double> toMap() const;
 };
 
+/** What a worker calls to answer one cache miss. */
+using Evaluator = std::function<Result(const Request &)>;
+
 class Daemon
 {
   public:
@@ -117,12 +117,12 @@ class Daemon
      * Start the workers.  Loads the cache snapshot if configured
      * (a corrupt snapshot is quarantined, never fatal).
      *
-     * @param config Sizing/robustness knobs.
-     * @param faults Injected fault plan (tests/soak); the default
-     *        plan injects nothing.
+     * @param config   Sizing/robustness knobs.
+     * @param evaluate Answers every miss the MissBatcher does not
+     *        take; tests pass a stand-in to hold or fail a worker.
      */
     explicit Daemon(DaemonConfig config,
-                    ServeFaultPlan faults = ServeFaultPlan{});
+                    Evaluator evaluate = serve::evaluate);
 
     /** shutdown(), then joins the workers. */
     ~Daemon();
@@ -195,13 +195,12 @@ class Daemon
 
     void workerLoop();
     Reply process(Job &job);
-    Reply evaluateWithRetries(const Request &req,
-                              const std::string &canonical,
-                              std::uint64_t seq, std::uint64_t fp);
+    Reply evaluateMiss(const Request &req, const std::string &canonical,
+                       std::uint64_t fp);
     void noteReply(const Reply &reply, double latency_ms);
 
     DaemonConfig config_;
-    ServeFaultPlan faults_;
+    Evaluator evaluate_;
     cache::ResultCache cache_;
     MissBatcher batcher_;
     cache::CacheLoadOutcome loadOutcome_ =
@@ -213,7 +212,6 @@ class Daemon
     std::deque<std::unique_ptr<Job>> queue_;
     std::map<std::uint64_t, std::shared_ptr<Flight>> flights_;
     std::size_t inFlight_ = 0;
-    std::uint64_t nextSeq_ = 0;
     bool stopping_ = false;
     DaemonStats stats_;
 

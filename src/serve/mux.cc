@@ -306,7 +306,9 @@ SessionMux::stats() const
 void
 SessionMux::addSession(int read_fd, int write_fd)
 {
-    auto s = std::make_shared<Session>(options_.limits);
+    // A frame may carry the largest request the daemon accepts.
+    auto s = std::make_shared<Session>(
+        FrameLimits{daemon_.config().maxRequestBytes});
     s->readFd = read_fd;
     s->writeFd = write_fd;
     s->readFlags = setNonblocking(read_fd);

@@ -67,8 +67,6 @@ namespace serve {
 /** Session-mux sizing knobs. */
 struct MuxOptions
 {
-    /** Frame limits applied to every session's requests. */
-    FrameLimits limits;
     /** Concurrent sessions served; the accept loop simply stops
      *  accepting at capacity (the listen backlog queues), and
      *  adopt() past it refuses the fd. */

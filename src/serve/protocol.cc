@@ -21,6 +21,15 @@ namespace serve {
 
 namespace {
 
+/** A default-built Request: the values optional fields are omitted
+ *  at when a request is written or fingerprinted. */
+const Request &
+defaults()
+{
+    static const Request def;
+    return def;
+}
+
 std::string
 formatDouble(double v)
 {
@@ -248,23 +257,24 @@ writeRequest(const Request &req)
     }
     // Post-v1 fields are omitted at their defaults so older request
     // documents round-trip byte-identically.
-    if (req.proto != 1)
+    const Request &def = defaults();
+    if (req.proto != def.proto)
         kv["proto"] =
             KvValue::number(static_cast<double>(req.proto));
-    if (req.placement != "uniform")
+    if (req.placement != def.placement)
         kv["placement"] = KvValue::string(req.placement);
-    if (req.objective != "peak")
+    if (req.objective != def.objective)
         kv["objective"] = KvValue::string(req.objective);
-    if (req.budget != 16)
+    if (req.budget != def.budget)
         kv["budget"] =
             KvValue::number(static_cast<double>(req.budget));
-    if (req.restarts != 1)
+    if (req.restarts != def.restarts)
         kv["restarts"] =
             KvValue::number(static_cast<double>(req.restarts));
-    if (req.optSeed != 0x0417c001ULL)
+    if (req.optSeed != def.optSeed)
         kv["opt_seed"] =
             KvValue::number(static_cast<double>(req.optSeed));
-    if (req.plantBackend != "crac")
+    if (req.plantBackend != def.plantBackend)
         kv["plant_backend"] = KvValue::string(req.plantBackend);
     if (!req.weather.empty()) {
         for (char c : req.weather)
@@ -303,20 +313,21 @@ canonicalText(const Request &req)
     // and "spelled-out default" still hash identically.  `proto`
     // never appears at all - like the deadline, it shapes whether
     // the answer arrives, never the answer's bits.
-    if (req.plantBackend != "crac")
+    const Request &def = defaults();
+    if (req.plantBackend != def.plantBackend)
         out << "plant_backend " << req.plantBackend << "\n";
     if (!req.weather.empty())
         out << "weather " << req.weather.size() << ":"
             << req.weather << "\n";
-    if (req.placement != "uniform")
+    if (req.placement != def.placement)
         out << "placement " << req.placement << "\n";
-    if (req.objective != "peak")
+    if (req.objective != def.objective)
         out << "objective " << req.objective << "\n";
-    if (req.budget != 16)
+    if (req.budget != def.budget)
         out << "budget " << req.budget << "\n";
-    if (req.restarts != 1)
+    if (req.restarts != def.restarts)
         out << "restarts " << req.restarts << "\n";
-    if (req.optSeed != 0x0417c001ULL)
+    if (req.optSeed != def.optSeed)
         out << "opt_seed " << req.optSeed << "\n";
     return out.str();
 }

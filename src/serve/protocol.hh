@@ -57,7 +57,7 @@ enum class ErrorKind
                         //!< does not speak; never retry here.
     Overloaded,       //!< Admission queue full; retry with backoff.
     DeadlineExceeded, //!< Deadline passed before evaluation started.
-    WorkerFailed,     //!< Evaluation kept failing past the retry budget.
+    WorkerFailed,     //!< Evaluation died with an untyped exception.
     Shutdown,         //!< Daemon is draining; retry against a new one.
 };
 

@@ -216,19 +216,6 @@ ServerModel::advance(double dt_total, double dt_step)
 }
 
 void
-advanceServers(const std::vector<ServerModel *> &servers,
-               double dt_total, double dt_step)
-{
-    std::vector<thermal::ServerThermalNetwork *> nets;
-    nets.reserve(servers.size());
-    for (ServerModel *srv : servers) {
-        require(srv != nullptr, "advanceServers: null server");
-        nets.push_back(&srv->network());
-    }
-    thermal::advanceNetworks(nets, dt_total, dt_step);
-}
-
-void
 ServerModel::solveSteadyState()
 {
     net_->solveSteadyState();

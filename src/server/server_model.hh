@@ -223,16 +223,6 @@ class ServerModel
     double bay_blockage_ = 0.0;
 };
 
-/**
- * Advance a batch of independent servers by the same interval.
- *
- * Thin wrapper over thermal::advanceNetworks(): serial on the caller
- * below four servers (a resilience arm's pair), deterministic
- * exec::ThreadPool fan-out above.  Bit-identical at any thread count.
- */
-void advanceServers(const std::vector<ServerModel *> &servers,
-                    double dt_total, double dt_step = 1.0);
-
 } // namespace server
 } // namespace tts
 

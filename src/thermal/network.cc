@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "exec/parallel.hh"
 #include "obs/obs.hh"
 #include "thermal/kernel_config.hh"
 #include "util/error.hh"
@@ -30,6 +29,8 @@ ServerThermalNetwork::ServerThermalNetwork(const AirflowModel &airflow,
 {
     require(zone_count >= 1,
             "ServerThermalNetwork: need at least one zone");
+    require(std::isfinite(inlet_temp_c),
+            "ServerThermalNetwork: inlet must be finite");
 }
 
 int
@@ -133,6 +134,7 @@ ServerThermalNetwork::setZonePlumeFraction(std::size_t zone, double p)
 void
 ServerThermalNetwork::setInletTemp(double t_c)
 {
+    require(std::isfinite(t_c), "setInletTemp: inlet must be finite");
     inlet_temp_ = t_c;
 }
 
@@ -733,25 +735,6 @@ ServerThermalNetwork::findNode(const std::string &name) const
             return static_cast<int>(i);
     }
     return -1;
-}
-
-void
-advanceNetworks(const std::vector<ServerThermalNetwork *> &nets,
-                double dt_total, double dt_step)
-{
-    // Below this, per-region thread recruitment costs more than the
-    // integration itself (a resilience arm has two networks).
-    constexpr std::size_t kMinParallel = 4;
-    for (const ServerThermalNetwork *net : nets)
-        require(net != nullptr, "advanceNetworks: null network");
-    if (nets.size() < kMinParallel) {
-        for (ServerThermalNetwork *net : nets)
-            net->advance(dt_total, dt_step);
-        return;
-    }
-    exec::parallel_for_index(nets.size(), [&](std::size_t i) {
-        nets[i]->advance(dt_total, dt_step);
-    });
 }
 
 } // namespace thermal

@@ -97,7 +97,7 @@ class ServerThermalNetwork
     /**
      * @param airflow      Calibrated airflow model (copied).
      * @param zone_count   Number of air zones front-to-rear (>= 1).
-     * @param inlet_temp_c Cold-aisle inlet temperature (C).
+     * @param inlet_temp_c Cold-aisle inlet temperature (C), finite.
      */
     ServerThermalNetwork(const AirflowModel &airflow,
                          std::size_t zone_count, double inlet_temp_c);
@@ -168,7 +168,8 @@ class ServerThermalNetwork
      */
     void setZonePlumeFraction(std::size_t zone, double p);
 
-    /** Set the inlet (cold aisle) temperature (C). */
+    /** Set the inlet (cold aisle) temperature (C).
+     *  @throws FatalError when it is NaN or infinite. */
     void setInletTemp(double t_c);
     /** @return Inlet temperature (C). */
     double inletTemp() const { return inlet_temp_; }
@@ -453,20 +454,6 @@ class ServerThermalNetwork
     bool obs_melt_seeded_ = false;       //!< obs_melt_prev_ valid.
     std::vector<double> obs_melt_prev_;  //!< Melt fraction per node.
 };
-
-/**
- * Advance a batch of independent networks by the same interval.
- *
- * Small batches (fewer than four networks - e.g. the two
- * representative servers of a resilience arm) run serially on the
- * caller: per-region thread recruitment would cost more than the
- * integration.  Larger batches fan out through the global
- * exec::ThreadPool with its deterministic (region, task, seq) obs
- * stream keys; since the networks share no state, results are
- * bit-identical at any thread count.
- */
-void advanceNetworks(const std::vector<ServerThermalNetwork *> &nets,
-                     double dt_total, double dt_step = 1.0);
 
 } // namespace thermal
 } // namespace tts

@@ -3,21 +3,16 @@
  * Kill-and-resume integration tests: a resilience run interrupted at
  * a checkpoint boundary and resumed in a fresh runner (simulating a
  * new process) must produce a result bit-identical to an
- * uninterrupted run, at 1 and 8 worker threads; likewise a
- * checkpointed sweep capped mid-way and rerun against its journal.
+ * uninterrupted run, at 1 and 8 worker threads.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "core/resilience_study.hh"
 #include "exec/parallel.hh"
-#include "exec/sweep_resume.hh"
 #include "fault/fault_schedule.hh"
 #include "server/server_spec.hh"
 #include "util/error.hh"
@@ -181,61 +176,6 @@ TEST(CheckpointResume, NonPositiveIntervalIsRejected)
             << msg;
         EXPECT_NE(msg.find("(got 0)"), std::string::npos) << msg;
     }
-    std::remove(path.c_str());
-}
-
-TEST(CheckpointResume, CappedSweepResumesWithoutRerunningTasks)
-{
-    const std::size_t n = 7;
-    std::atomic<int> calls{0};
-    auto task = [&calls](std::size_t i) {
-        ++calls;
-        std::map<std::string, double> row;
-        row["index"] = static_cast<double>(i);
-        row["value"] = static_cast<double>(i * i) + 0.25;
-        return row;
-    };
-
-    exec::SweepCheckpointOptions plain;  // No journal.
-    exec::SweepResult want = exec::checkpointedMap(n, task, plain);
-    ASSERT_TRUE(want.complete);
-    EXPECT_EQ(calls.load(), static_cast<int>(n));
-
-    const std::string path =
-        testing::TempDir() + "/tts_resume_sweep.tts";
-    std::remove(path.c_str());
-    exec::SweepCheckpointOptions capped;
-    capped.path = path;
-    capped.maxTasks = 2;
-
-    calls = 0;
-    exec::setGlobalThreads(8);
-    exec::SweepResult partial;
-    int rounds = 0;
-    do {
-        partial = exec::checkpointedMap(n, task, capped);
-        ++rounds;
-        ASSERT_LE(rounds, 8) << "sweep failed to converge";
-    } while (!partial.complete);
-    exec::setGlobalThreads(1);
-
-    // ceil(7 / 2) = 4 capped rounds, 7 task invocations total: the
-    // journal, not re-execution, supplied completed rows.
-    EXPECT_EQ(rounds, 4);
-    EXPECT_EQ(calls.load(), static_cast<int>(n));
-    ASSERT_EQ(partial.rows.size(), want.rows.size());
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(partial.rows[i], want.rows[i]) << i;
-
-    // A fresh call against the finished journal re-runs nothing.
-    calls = 0;
-    exec::SweepCheckpointOptions finished;
-    finished.path = path;
-    exec::SweepResult again = exec::checkpointedMap(n, task, finished);
-    EXPECT_TRUE(again.complete);
-    EXPECT_EQ(calls.load(), 0);
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(again.rows[i], want.rows[i]) << i;
     std::remove(path.c_str());
 }
 

@@ -222,19 +222,22 @@ TEST(NumericsGuard, AirWalkNamesTheFirstNonFiniteNodeInWalkOrder)
 
 TEST(NumericsGuard, NanStageEnthalpyAtAPcmNodeIsATypedError)
 {
-    // A NaN inlet makes the first stage's dH/dt NaN, so the second
-    // stage looks up the wax temperature at a NaN enthalpy.  The curve
-    // lookup must answer NaN without reading past its breakpoints, and
-    // the air walk then names the node.
+    // An infinite conductance between two wax nodes at one
+    // temperature carries inf * 0 = NaN into the first stage's dH/dt,
+    // so the second stage looks up the wax temperature at a NaN
+    // enthalpy.  The curve lookup must answer NaN without reading past
+    // its breakpoints, and the air walk then names the node.
     ServerThermalNetwork net(testAirflow(), 1, 25.0);
     pcm::BoxSpec box{0.1, 0.08, 0.02};
     pcm::ContainerBank bank(box, 2, 0.019);
     pcm::PcmElement wax(pcm::commercialParaffin(), bank, 40.0, 25.0);
-    net.addPcmNode("wax", &wax, 0);
+    pcm::PcmElement twin(pcm::commercialParaffin(), bank, 40.0, 25.0);
+    const int a = net.addPcmNode("wax", &wax, 0);
+    const int b = net.addPcmNode("twin", &twin, 0);
+    net.addConduction(a, b, std::numeric_limits<double>::infinity());
     guard::GuardConfig off;
     off.enabled = false;
     net.setGuardConfig(off);
-    net.setInletTemp(kNan);
     try {
         net.advance(1.0, 1.0);
         FAIL() << "NaN stage enthalpy not detected";

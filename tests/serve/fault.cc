@@ -1,9 +1,12 @@
-#include "serve/fault.hh"
+#include "fault.hh"
 
+#include <string>
+
+#include "util/error.hh"
 #include "util/random.hh"
 
 namespace tts {
-namespace serve {
+namespace servetest {
 
 ServeFaultPlan
 ServeFaultPlan::generate(const ServeFaultProfile &profile,
@@ -15,7 +18,6 @@ ServeFaultPlan::generate(const ServeFaultProfile &profile,
                 std::string("serve fault profile: ") + name +
                     " must be in [0, 1]");
     };
-    probability(profile.workerCrashPerRequest, "workerCrashPerRequest");
     probability(profile.malformedPerRequest, "malformedPerRequest");
     probability(profile.oversizedPerRequest, "oversizedPerRequest");
     probability(profile.truncatedPerRequest, "truncatedPerRequest");
@@ -35,10 +37,7 @@ ServeFaultPlan::generate(const ServeFaultProfile &profile,
     ServeFaultPlan plan;
     plan.stallMs_ = profile.slowClientStallMs;
     plan.requestFaults_.resize(request_count, RequestFault::None);
-    plan.crashAttempts_.resize(request_count, 0);
     for (std::size_t i = 0; i < request_count; ++i) {
-        // One sub-stream per axis per request: adding crash faults
-        // never reshuffles which requests go malformed.
         Rng client = Rng::forStream(profile.seed, 2 * i);
         const double u = client.uniform();
         double edge = profile.malformedPerRequest;
@@ -55,9 +54,6 @@ ServeFaultPlan::generate(const ServeFaultProfile &profile,
             // reshuffles which requests drew the older faults.
             plan.requestFaults_[i] = RequestFault::Disconnect;
         }
-        Rng worker = Rng::forStream(profile.seed, 2 * i + 1);
-        if (worker.uniform() < profile.workerCrashPerRequest)
-            plan.crashAttempts_[i] = profile.workerCrashAttempts;
     }
     // Session-level draws live at a disjoint stream offset so
     // adding sessions never perturbs the per-request streams above.
@@ -73,14 +69,6 @@ ServeFaultPlan::generate(const ServeFaultProfile &profile,
     return plan;
 }
 
-std::size_t
-ServeFaultPlan::crashAttempts(std::uint64_t seq) const
-{
-    return seq < crashAttempts_.size()
-        ? crashAttempts_[static_cast<std::size_t>(seq)]
-        : 0;
-}
-
 RequestFault
 ServeFaultPlan::requestFault(std::size_t i) const
 {
@@ -94,16 +82,6 @@ ServeFaultPlan::countOf(RequestFault kind) const
     std::size_t n = 0;
     for (RequestFault f : requestFaults_)
         if (f == kind)
-            ++n;
-    return n;
-}
-
-std::size_t
-ServeFaultPlan::crashedRequests() const
-{
-    std::size_t n = 0;
-    for (std::size_t c : crashAttempts_)
-        if (c > 0)
             ++n;
     return n;
 }
@@ -124,5 +102,5 @@ ServeFaultPlan::slowSessions() const
     return n;
 }
 
-} // namespace serve
+} // namespace servetest
 } // namespace tts

@@ -1,50 +1,34 @@
 /**
  * @file
- * Serve-layer fault injection (extends the tts::fault idea to the
- * daemon's own failure surface).
+ * The hostile-client schedule of the serve soaks.
  *
  * The simulator-level FaultSchedule speaks plant trips and fan
- * failures; the serving layer fails differently - a worker dies
- * mid-request, a client sends garbage, a frame lies about its
- * length, a reader stalls.  A ServeFaultPlan is the deterministic,
- * seeded schedule of those events for one soak run: request index
- * `i` is assigned its client-side mutation (malformed payload,
- * oversized frame, truncated frame, slow-client stall) and its
- * worker-side crash count (how many leading evaluation attempts
- * throw TransientWorkerFailure before one succeeds) up front, from
- * Rng::forStream sub-streams of one seed.  The same (profile,
- * request_count, seed) therefore replays the same hostile schedule
- * on every run and at every thread count - the soak test's
- * zero-crash and every-request-answered assertions are assertions
- * about one reproducible execution, not about luck.
+ * failures; a serving session fails differently - a client sends
+ * garbage, a frame lies about its length, a reader stalls or hangs
+ * up.  A ServeFaultPlan is the deterministic, seeded schedule of
+ * those events for one soak run: request index `i` is assigned its
+ * client-side mutation (malformed payload, oversized frame,
+ * truncated frame, slow-client stall, disconnect) up front, and
+ * session `s` its slow-reader flag, from Rng::forStream sub-streams
+ * of one seed.  The same (profile, request_count, seed) therefore
+ * replays the same hostile schedule on every run and at every
+ * thread count - the soak tests' zero-crash and
+ * every-request-answered assertions are assertions about one
+ * reproducible execution, not about luck.
  *
- * The daemon consumes only the worker-crash axis (via
- * crashAttempts()); the client-side axes are consumed by the soak
- * harness and tools when they build the hostile byte stream.
+ * Only the soak harnesses consume the plan, when they build the
+ * hostile byte stream; the daemon never sees it.
  */
 
-#ifndef TTS_SERVE_FAULT_HH
-#define TTS_SERVE_FAULT_HH
+#ifndef TTS_TESTS_SERVE_FAULT_HH
+#define TTS_TESTS_SERVE_FAULT_HH
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "util/error.hh"
-
 namespace tts {
-namespace serve {
-
-/** A worker failure worth retrying (injected or genuinely
- *  transient); anything else is not retried. */
-class TransientWorkerFailure : public Error
-{
-  public:
-    explicit TransientWorkerFailure(const std::string &what)
-        : Error(what)
-    {
-    }
-};
+namespace servetest {
 
 /** What the hostile client does to one request. */
 enum class RequestFault
@@ -60,12 +44,6 @@ enum class RequestFault
 /** Per-request event probabilities for a generated plan. */
 struct ServeFaultProfile
 {
-    /** P(evaluation attempts fail transiently) per request. */
-    double workerCrashPerRequest = 0.0;
-    /** Crash depth: selected requests fail this many leading
-     *  attempts (drive it past the retry budget to exercise the
-     *  worker_failed rung of the ladder). */
-    std::size_t workerCrashAttempts = 1;
     /** P(malformed payload) per request. */
     double malformedPerRequest = 0.0;
     /** P(oversized frame) per request. */
@@ -89,29 +67,21 @@ struct ServeFaultProfile
 class ServeFaultPlan
 {
   public:
-    /** Benign plan: no faults anywhere (the daemon default). */
+    /** Benign plan: no faults anywhere. */
     ServeFaultPlan() = default;
 
     /**
      * Sample a plan for `request_count` requests (and optionally
-     * `session_count` concurrent sessions).  Each request draws its
-     * client-side fault from one forStream(seed, i) stream and its
-     * worker-crash selection from another, and each session draws
-     * its slow-reader flag from a third family at a disjoint stream
-     * offset, so the axes never perturb each other (the
-     * fault::generateSchedule idiom).
+     * `session_count` concurrent sessions).  Request i draws its
+     * client-side fault from the forStream(seed, 2 i) stream (the
+     * odd streams stay unused, so every soak keeps its schedule),
+     * and each session draws its slow-reader flag from a second
+     * family at a disjoint stream offset, so the axes never perturb
+     * each other (the fault::generateSchedule idiom).
      */
     static ServeFaultPlan generate(const ServeFaultProfile &profile,
                                    std::size_t request_count,
                                    std::size_t session_count = 0);
-
-    /**
-     * @return How many leading evaluation attempts of admission
-     * sequence number `seq` must fail with TransientWorkerFailure.
-     * Zero for sequences beyond the planned range (late requests
-     * run clean).
-     */
-    std::size_t crashAttempts(std::uint64_t seq) const;
 
     /** @return The client-side mutation for request `i` (None past
      *  the planned range). */
@@ -126,9 +96,6 @@ class ServeFaultPlan
     /** @return Number of planned events of `kind`. */
     std::size_t countOf(RequestFault kind) const;
 
-    /** @return Number of requests with planned worker crashes. */
-    std::size_t crashedRequests() const;
-
     /** @return Whether session `s` is a planned slow reader (false
      *  past the planned range). */
     bool slowSession(std::size_t s) const;
@@ -138,12 +105,11 @@ class ServeFaultPlan
 
   private:
     std::vector<RequestFault> requestFaults_;
-    std::vector<std::size_t> crashAttempts_;
     std::vector<char> slowSessions_;
     double stallMs_ = 2.0;
 };
 
-} // namespace serve
+} // namespace servetest
 } // namespace tts
 
-#endif // TTS_SERVE_FAULT_HH
+#endif // TTS_TESTS_SERVE_FAULT_HH

@@ -1,16 +1,20 @@
 /**
  * @file
  * Daemon behavior tests: the degradation ladder (cache hit,
- * coalescing, deadline, shed, retry, worker_failed, shutdown),
- * cache-hit bit-identity with fresh evaluations at 1 and 8 workers,
- * and the ordered reply stream.
+ * coalescing, deadline, shed, worker_failed, shutdown), cache-hit
+ * bit-identity with fresh evaluations at 1 and 8 workers, and the
+ * ordered reply stream.  A ladder test that needs a busy worker holds
+ * it inside a stand-in evaluator until the test opens a latch.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <latch>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -41,28 +45,51 @@ quickRequest(double horizon_s = 120.0, double util = 0.9,
     return writeRequest(r);
 }
 
-/** Plan where the first `crashed` sequences fail `attempts` times. */
-ServeFaultPlan
-crashPlan(std::size_t crashed, std::size_t attempts)
+/**
+ * A stand-in evaluator that holds every call on a latch until the
+ * test opens it, then evaluates for real.  Declare it before the
+ * Daemon, which calls it until its workers are joined, and open it
+ * before any assertion can end the test: a held worker would stall
+ * the daemon's shutdown.
+ */
+class HeldEvaluator
 {
-    ServeFaultProfile profile;
-    profile.workerCrashPerRequest = 1.0;
-    profile.workerCrashAttempts = attempts;
-    return ServeFaultPlan::generate(profile, crashed);
-}
-
-/** Wait until the daemon's worker is busy retrying (it popped the
- *  blocker job and entered its backoff sleep). */
-void
-awaitWorkerBusy(Daemon &daemon)
-{
-    for (int spin = 0; spin < 2000; ++spin) {
-        if (daemon.stats().retries >= 1)
-            return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  public:
+    Evaluator evaluator()
+    {
+        return [this](const Request &req) {
+            {
+                std::lock_guard<std::mutex> lock(mu_);
+                ++held_;
+            }
+            cv_.notify_all();
+            gate_.wait();
+            return evaluate(req);
+        };
     }
-    FAIL() << "worker never picked up the blocker job";
-}
+
+    /** @return Whether `n` calls entered within a generous bound. */
+    bool awaitHeld(std::size_t n)
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        return cv_.wait_for(lock, std::chrono::seconds(60),
+                            [&] { return held_ >= n; });
+    }
+
+    /** Let every held call, and every later one, evaluate. */
+    void open()
+    {
+        if (!opened_.exchange(true))
+            gate_.count_down();
+    }
+
+  private:
+    std::latch gate_{1};
+    std::atomic<bool> opened_{false};
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::size_t held_ = 0;
+};
 
 } // namespace
 
@@ -208,39 +235,28 @@ TEST(ServeDaemon, UnknownScenarioIsMalformedNotWorkerFailed)
     EXPECT_NE(reply.detail.find("volcano"), std::string::npos);
 }
 
-TEST(ServeDaemon, TransientCrashIsRetriedWithinTheBudget)
+TEST(ServeDaemon, EvaluationCrashIsWorkerFailed)
 {
     DaemonConfig config;
     config.workers = 1;
-    config.retryBudget = 3;
-    config.retryBackoffBaseMs = 0.1;
-    // Sequence 0 fails its first attempt, then succeeds.
-    Daemon daemon(config, crashPlan(1, 1));
-    const Reply reply = daemon.call(quickRequest());
-    ASSERT_TRUE(reply.ok) << reply.detail;
-    const DaemonStats stats = daemon.stats();
-    EXPECT_EQ(stats.retries, 1u);
-    EXPECT_EQ(stats.evaluations, 1u);
-    EXPECT_EQ(stats.workerFailed, 0u);
-}
-
-TEST(ServeDaemon, CrashPastTheBudgetIsWorkerFailed)
-{
-    DaemonConfig config;
-    config.workers = 1;
-    config.retryBudget = 2;
-    config.retryBackoffBaseMs = 0.1;
-    // Sequence 0 fails five attempts - more than the budget allows.
-    Daemon daemon(config, crashPlan(1, 5));
+    // The first evaluation dies with an untyped exception; every
+    // later one runs clean.
+    std::atomic<int> calls{0};
+    Daemon daemon(config, [&calls](const Request &req) {
+        if (calls++ == 0)
+            throw std::runtime_error("stand-in worker crash");
+        return evaluate(req);
+    });
     const Reply reply = daemon.call(quickRequest());
     ASSERT_FALSE(reply.ok);
     EXPECT_EQ(reply.error, ErrorKind::WorkerFailed);
-    EXPECT_NE(reply.detail.find("injected worker crash"),
+    EXPECT_NE(reply.detail.find("stand-in worker crash"),
               std::string::npos);
     EXPECT_EQ(daemon.stats().workerFailed, 1u);
-    EXPECT_EQ(daemon.stats().retries, 2u);
-    // The failure was per-request: the next request (sequence 1,
-    // beyond the plan) runs clean.
+    // A miss is evaluated once: nothing retried the crash.
+    EXPECT_EQ(calls.load(), 1);
+    EXPECT_EQ(daemon.stats().retries, 0u);
+    // The failure was per-request: the next request runs clean.
     EXPECT_TRUE(daemon.call(quickRequest(150.0)).ok);
 }
 
@@ -249,19 +265,19 @@ TEST(ServeDaemon, OverCapacitySubmitsAreShedWithTypedReplies)
     DaemonConfig config;
     config.workers = 1;
     config.queueCapacity = 1;
-    config.retryBudget = 8;
-    config.retryBackoffBaseMs = 30.0;
-    // The blocker (sequence 0) keeps the only worker busy in
-    // retry-backoff sleeps (30+60+120 ms) while we overfill the
-    // queue.
-    Daemon daemon(config, crashPlan(1, 3));
+    // The blocker keeps the only worker held in its evaluation while
+    // we overfill the queue.
+    HeldEvaluator held;
+    Daemon daemon(config, held.evaluator());
     auto blocker = daemon.submit(quickRequest());
-    awaitWorkerBusy(daemon);
+    const bool busy = held.awaitHeld(1);
     auto queued = daemon.submit(quickRequest(130.0));
     auto shed1 = daemon.submit(quickRequest(140.0));
     auto shed2 = daemon.submit(quickRequest(150.0));
     const Reply s1 = shed1.get();
     const Reply s2 = shed2.get();
+    held.open();
+    ASSERT_TRUE(busy) << "worker never picked up the blocker job";
     ASSERT_FALSE(s1.ok);
     EXPECT_EQ(s1.error, ErrorKind::Overloaded);
     EXPECT_NE(s1.detail.find("capacity 1"), std::string::npos);
@@ -280,16 +296,18 @@ TEST(ServeDaemon, ExpiredDeadlineIsRejectedBeforeEvaluation)
     DaemonConfig config;
     config.workers = 1;
     config.queueCapacity = 8;
-    config.retryBudget = 8;
-    config.retryBackoffBaseMs = 30.0;
-    Daemon daemon(config, crashPlan(1, 3));
+    HeldEvaluator held;
+    Daemon daemon(config, held.evaluator());
     auto blocker = daemon.submit(quickRequest());
-    awaitWorkerBusy(daemon);
-    // Queued behind the blocker with a 1 microsecond deadline: by
-    // the time a worker frees up it has long expired.
+    const bool busy = held.awaitHeld(1);
+    // Queued behind the held blocker with a 1 microsecond deadline:
+    // the worker frees up only after the blocker's whole evaluation,
+    // and by then it has long expired.
     Request r = parseRequest(quickRequest(140.0));
     r.deadlineMs = 0.001;
     auto late = daemon.submit(writeRequest(r));
+    held.open();
+    ASSERT_TRUE(busy) << "worker never picked up the blocker job";
     const Reply reply = late.get();
     ASSERT_FALSE(reply.ok);
     EXPECT_EQ(reply.error, ErrorKind::DeadlineExceeded);
@@ -317,15 +335,26 @@ TEST(ServeDaemon, IdenticalInFlightRequestsCoalesceToOneEvaluation)
 {
     DaemonConfig config;
     config.workers = 4;
-    config.retryBudget = 4;
-    config.retryBackoffBaseMs = 40.0;
-    // The leader (sequence 0) spends >= 40 ms in backoff before its
-    // successful attempt - a wide window for the duplicates to land
-    // on other workers and join its flight.
-    Daemon daemon(config, crashPlan(1, 1));
+    // The leader is held in its evaluation until each duplicate has
+    // missed the cache.  Its flight stays registered while it is
+    // held, so every duplicate past its miss joins that flight.
+    HeldEvaluator held;
+    Daemon daemon(config, held.evaluator());
     std::vector<std::future<Reply>> futures;
     for (int i = 0; i < 4; ++i)
         futures.push_back(daemon.submit(quickRequest()));
+    // Four first lookups plus the leader's re-check under its flight.
+    const std::uint64_t all_missed = 5;
+    bool joined = held.awaitHeld(1);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (joined && daemon.cacheCounters().misses < all_missed) {
+        if (std::chrono::steady_clock::now() > give_up)
+            joined = false;
+        std::this_thread::yield();
+    }
+    held.open();
+    ASSERT_TRUE(joined) << "the duplicates never reached the flight";
     std::vector<Reply> replies;
     for (auto &f : futures)
         replies.push_back(f.get());
@@ -336,6 +365,7 @@ TEST(ServeDaemon, IdenticalInFlightRequestsCoalesceToOneEvaluation)
     const DaemonStats stats = daemon.stats();
     EXPECT_EQ(stats.evaluations, 1u)
         << "duplicates re-evaluated instead of coalescing";
+    EXPECT_EQ(stats.coalesced, 3u);
     // Everyone but the leader saw a shared answer.
     std::size_t shared = 0;
     for (const Reply &r : replies)
@@ -497,12 +527,11 @@ TEST(ServeStream, OversizedFrameGetsAnErrorReplyAndServiceContinues)
 {
     DaemonConfig config;
     config.workers = 1;
+    config.maxRequestBytes = 512;
     Daemon daemon(config);
-    MuxOptions options;
-    options.limits.maxPayloadBytes = 512;
     const std::string wire = "tts-frame 1000\n" +
         std::string(1000, 'x') + encodeFrame(quickRequest());
-    const SessionRun run = serveWire(daemon, options, wire);
+    const SessionRun run = serveWire(daemon, MuxOptions{}, wire);
     EXPECT_EQ(run.stats.framesMalformed, 1u);
     EXPECT_EQ(run.stats.framesOk, 1u);
     ASSERT_EQ(run.replies.size(), 2u);

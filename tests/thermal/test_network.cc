@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "pcm/material.hh"
 #include "pcm/pcm_element.hh"
@@ -273,6 +274,24 @@ TEST(Network, InletTempShiftsEverything)
     net.setInletTemp(35.0);
     net.solveSteadyState();
     EXPECT_NEAR(net.nodeTemperature(n), t1 + 10.0, 1e-6);
+}
+
+TEST(ThermalNetwork, NonFiniteInletIsRejectedAtTheSetter)
+{
+    ServerThermalNetwork net(testAirflow(), 1, 25.0);
+    net.addCapacityNode("n", 100.0, coupling(5.0), 0, 25.0);
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+        EXPECT_THROW(net.setInletTemp(bad), FatalError) << bad;
+        // The rejected value never reached the model.
+        EXPECT_EQ(net.inletTemp(), 25.0);
+        EXPECT_THROW(ServerThermalNetwork(testAirflow(), 1, bad),
+                     FatalError)
+            << bad;
+    }
+    net.advance(60.0, 1.0);
+    EXPECT_TRUE(std::isfinite(net.nodeTemperature(0)));
 }
 
 TEST(Network, RejectsBadConfiguration)

@@ -14,7 +14,10 @@
 #  - a bad checkpoint request is an `error:` with exit 1 for every
 #    command: --checkpoint-every=0 with a file, --resume naming a
 #    missing file (which must not be created), and --stop-after
-#    with no file to save to.
+#    with no file to save to;
+#  - resilience --scenario=all prints all three canonical scenarios,
+#    and refuses --checkpoint (with or without --stop-after) and
+#    --resume rather than ignoring them.
 #
 #   tts_sim_cli_smoke.sh <path to tts_sim> <work directory>
 
@@ -90,4 +93,18 @@ for cmd in fleet resilience plant cooling; do
     expect_error "$cmd --stop-after without a file" \
         "$cmd" --servers=48 --days=0.25 --stop-after=7200
 done
+
+"$sim" resilience --scenario=all > "$dir/all.out" ||
+    fail "resilience --scenario=all exited $?"
+for name in plant_trip_total partial_trip_sensor_drift crash_fan_storm; do
+    grep -q "^$name " "$dir/all.out" ||
+        fail "resilience --scenario=all lacks $name"
+done
+expect_error "resilience --scenario=all --checkpoint --stop-after" \
+    resilience --scenario=all --checkpoint="$dir/all.ckpt" --stop-after=60
+expect_error "resilience --scenario=all --checkpoint" \
+    resilience --scenario=all --checkpoint="$dir/all.ckpt"
+[ ! -e "$dir/all.ckpt" ] || fail "--scenario=all wrote a checkpoint"
+expect_error "resilience --scenario=all --resume" \
+    resilience --scenario=all --resume="$dir/c.ckpt"
 echo "PASS"

@@ -13,8 +13,9 @@
 #     BENCH_thermal.json at the repo root.
 #  2. ThreadSanitizer tree (build-tsan/, TTS_SANITIZE=thread): the
 #     exec, fault, obs, fleet, opt, plant and serve suites at 8
-#     threads, the DCSim tests, the multi-client socket soak, and the
-#     tts_sim CLI smoke (a fleet with metrics, trace and profile on).
+#     threads, the DCSim tests, 50 repeats of the daemon's ladder
+#     tests, the multi-client socket soak, and the tts_sim CLI smoke
+#     (a fleet with metrics, trace and profile on).
 #  3. ASan+UBSan tree (build-asan/, TTS_SANITIZE=address): the guard
 #     and util suites, cluster and fleet save/restore, the PCM
 #     enthalpy curve and element, the thermal kernel, plant
@@ -118,6 +119,12 @@ echo "== TSan: scenario daemon + fault-injection soak, 8 workers =="
 # The hostile soak is a session of the mux, the one session loop, so
 # this lane races the mux as well as the daemon.
 TTS_THREADS=8 ./build-tsan/tests/tts_serve_test
+echo "== TSan: daemon degradation ladder, 50 repeats, 8 threads =="
+# The ladder tests hold a worker inside a stand-in evaluator until
+# the test opens a latch, never through a timed sleep; repeating them
+# shows they are free of races and of flakes.
+TTS_THREADS=8 ./build-tsan/tests/tts_serve_test \
+    --gtest_filter='ServeDaemon.*' --gtest_repeat=50
 echo "== TSan: multi-client socket soak, 8 sessions x 8 workers =="
 # The mux/batcher/daemon stack under its most concurrent test: 8
 # framed sessions (slow readers, disconnects, malformed frames from

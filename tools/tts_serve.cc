@@ -10,10 +10,10 @@
  *   tts_serve call   [request on stdin]
  *
  * Daemon flags (stdio and socket modes):
- *   [--workers=N] [--queue=N] [--deadline-ms=D] [--retries=N]
- *   [--backoff-ms=D] [--max-bytes=N] [--cache=FILE]
- *   [--cache-cap=N] [--persist-every=N] [--stats=FILE]
- *   [--manifest=FILE] [--batch-window-ms=D] [--batch-max=N]
+ *   [--workers=N] [--queue=N] [--deadline-ms=D] [--max-bytes=N]
+ *   [--cache=FILE] [--cache-cap=N] [--persist-every=N]
+ *   [--stats=FILE] [--manifest=FILE] [--batch-window-ms=D]
+ *   [--batch-max=N]
  *
  * `stdio` serves one framed session: length-prefixed request frames
  * on stdin, one reply frame per request on stdout, in order - the
@@ -80,8 +80,6 @@ struct DaemonFlags
     std::size_t workers = 0;
     std::size_t queue = 64;
     double deadlineMs = 0.0;
-    std::size_t retries = 3;
-    double backoffMs = 0.5;
     std::size_t maxBytes = 64 * 1024;
     std::string cachePath;
     std::size_t cacheCap = 256;
@@ -100,10 +98,6 @@ addDaemonFlags(cli::Parser &p, DaemonFlags &f)
     p.addSize("queue", &f.queue, "admission queue capacity");
     p.addDouble("deadline-ms", &f.deadlineMs,
                 "default per-request deadline (0 = none)");
-    p.addSize("retries", &f.retries,
-              "evaluation attempts per request");
-    p.addDouble("backoff-ms", &f.backoffMs,
-                "base retry backoff (doubles per attempt)");
     p.addSize("max-bytes", &f.maxBytes,
               "largest accepted request/frame payload");
     p.addString("cache", &f.cachePath,
@@ -130,8 +124,6 @@ configOf(const DaemonFlags &f)
     config.workers = f.workers;
     config.queueCapacity = f.queue;
     config.defaultDeadlineMs = f.deadlineMs;
-    config.retryBudget = f.retries;
-    config.retryBackoffBaseMs = f.backoffMs;
     config.maxRequestBytes = f.maxBytes;
     config.cache.path = f.cachePath;
     config.cache.capacity = f.cacheCap;
@@ -199,7 +191,6 @@ runMux(const DaemonFlags &flags, serve::MuxOptions options,
     // the manifest's entries resident.
     warmIfRequested(daemon, flags);
 
-    options.limits.maxPayloadBytes = flags.maxBytes;
     serve::SessionMux mux(daemon, options);
     if (path.empty()) {
         mux.adopt(STDIN_FILENO, STDOUT_FILENO);

@@ -47,9 +47,9 @@
  * --checkpoint or --resume file - useful for rehearsing a
  * kill/resume cycle.  A --resume file that does not exist, or
  * --stop-after with neither file, is an error for every command, as
- * is a --checkpoint-every <= 0 with a file.  With --scenario=all the
- * checkpoint file is a per-scenario completion journal instead:
- * finished scenarios are skipped on resume.
+ * is a --checkpoint-every <= 0 with a file.  --scenario=all runs
+ * the three canonical scenarios in parallel and takes none of these
+ * flags: checkpoint one --scenario at a time.
  *
  * Any command taking a trace accepts --trace-csv=FILE to load a
  * measured CSV trace (t_hours,Orkut,Search,FBmr) instead of the
@@ -106,7 +106,6 @@
 #include <map>
 #include <string>
 
-#include "exec/sweep_resume.hh"
 #include "obs/obs.hh"
 
 #include "core/run_config.hh"
@@ -540,50 +539,27 @@ cmdOutage(const Options &o)
     return 0;
 }
 
-/** Flat metric rows for the --scenario=all journaled sweep. */
-std::map<std::string, double>
-resilienceRow(const core::ResilienceResult &r)
-{
-    std::map<std::string, double> row;
-    row["ride_no_wax_min"] = r.noWax.rideThroughS / 60.0;
-    row["ride_with_wax_min"] = r.withWax.rideThroughS / 60.0;
-    row["extra_ride_min"] = r.extraRideThroughS() / 60.0;
-    row["retention_no_wax"] = r.noWax.throughputRetention;
-    row["retention_with_wax"] = r.withWax.throughputRetention;
-    row["guard_trips"] = static_cast<double>(
-        r.noWax.guard.sentinelTrips + r.noWax.guard.auditTrips +
-        r.withWax.guard.sentinelTrips + r.withWax.guard.auditTrips);
-    return row;
-}
-
 int
 cmdResilienceAll(const server::ServerSpec &spec,
-                 const core::ResilienceConfig &opts,
-                 const std::string &journal)
+                 const core::ResilienceConfig &opts)
 {
     auto scenarios =
         core::canonicalScenarios(opts.cluster.serverCount);
-    exec::SweepCheckpointOptions sweep;
-    sweep.path = journal;
-    auto result = exec::checkpointedMap(
-        scenarios.size(),
-        [&](std::size_t i) {
-            return resilienceRow(core::runResilienceStudy(
-                spec, scenarios[i], opts));
-        },
-        sweep);
+    auto results = core::runResilienceGrid(spec, scenarios, opts);
     AsciiTable t({"scenario", "ride_no_wax", "ride_wax",
                   "extra_min", "retention_gain", "guard_trips"});
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-        const auto &row = result.rows[i];
-        t.addRow({scenarios[i].name,
-                  formatFixed(row.at("ride_no_wax_min"), 1),
-                  formatFixed(row.at("ride_with_wax_min"), 1),
-                  formatFixed(row.at("extra_ride_min"), 1),
-                  formatFixed(row.at("retention_with_wax") -
-                                  row.at("retention_no_wax"),
+    for (const auto &r : results) {
+        const auto trips = r.noWax.guard.sentinelTrips +
+            r.noWax.guard.auditTrips + r.withWax.guard.sentinelTrips +
+            r.withWax.guard.auditTrips;
+        t.addRow({r.scenario,
+                  formatFixed(r.noWax.rideThroughS / 60.0, 1),
+                  formatFixed(r.withWax.rideThroughS / 60.0, 1),
+                  formatFixed(r.extraRideThroughS() / 60.0, 1),
+                  formatFixed(r.withWax.throughputRetention -
+                                  r.noWax.throughputRetention,
                               4),
-                  formatFixed(row.at("guard_trips"), 0)});
+                  formatFixed(static_cast<double>(trips), 0)});
     }
     t.print(std::cout);
     return 0;
@@ -596,8 +572,14 @@ cmdResilience(const Options &o, const guard::CheckpointPolicy &policy)
     core::ResilienceConfig opts;
     opts.run = runConfigOf(o);
 
-    if (o.scenario == "all" && o.faults_file.empty())
-        return cmdResilienceAll(spec, opts, policy.path);
+    if (o.scenario == "all" && o.faults_file.empty()) {
+        // A policy with no file also means no --stop-after (see
+        // checkpointPolicyOf).
+        require(policy.path.empty(),
+                "--scenario=all cannot be checkpointed, resumed or "
+                "paused; checkpoint one --scenario at a time");
+        return cmdResilienceAll(spec, opts);
+    }
 
     core::ResilienceScenario scenario;
     if (!o.faults_file.empty()) {
