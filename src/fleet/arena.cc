@@ -13,6 +13,22 @@ digestDouble(std::uint64_t h, double v)
     return cache::fnv1aMixU64(h, std::bit_cast<std::uint64_t>(v));
 }
 
+void
+RowPerturbState::apply(PerturbKind kind, double value)
+{
+    switch (kind) {
+      case PerturbKind::UtilizationDelta:
+        utilDelta += value;
+        break;
+      case PerturbKind::InletDrift:
+        inletDeltaC += value;
+        break;
+      case PerturbKind::FanFailure:
+        fanPinned = true;
+        break;
+    }
+}
+
 ArchetypeArena::ArchetypeArena(const server::ServerSpec &spec,
                                const server::WaxConfig &wax,
                                std::uint32_t first_server,

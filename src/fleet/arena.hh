@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "cache/fingerprint.hh"
+#include "fleet/perturbation.hh"
 #include "server/server_model.hh"
 #include "server/server_spec.hh"
 
@@ -62,6 +63,9 @@ struct RowPerturbState
     {
         return utilDelta == 0.0 && inletDeltaC == 0.0 && !fanPinned;
     }
+
+    /** Fold one event's @p kind and @p value into the state. */
+    void apply(PerturbKind kind, double value);
 };
 
 /**
@@ -78,6 +82,15 @@ struct RowReadout
     double meltFraction = 0.0;
 };
 
+/** A perturbation waiting on its row for one step of a slice. */
+struct QueuedPerturbation
+{
+    /** Step of the slice, counted from its first step. */
+    std::size_t step = 0;
+    PerturbKind kind = PerturbKind::UtilizationDelta;
+    double value = 0.0;
+};
+
 /** One materialized row: a private server model + its divergences. */
 struct MaterializedRow
 {
@@ -87,8 +100,20 @@ struct MaterializedRow
     std::size_t arena = 0;
     RowPerturbState pert;
     std::unique_ptr<server::ServerModel> model;
-    /** Read-out of the latest sample, stored when the load is set. */
-    RowReadout out;
+    /**
+     * Control step at which the row was cloned from its baseline (0
+     * for rows made at construction or restored from a checkpoint):
+     * a slice steps the row from this step or from its own first
+     * step, whichever is later.
+     */
+    std::uint64_t firstStep = 0;
+    /** Events due on the row in the current slice, in step order. */
+    std::vector<QueuedPerturbation> queued;
+    /**
+     * The current slice's read-outs, indexed by slice step; the
+     * buffer is reused from slice to slice.
+     */
+    std::vector<RowReadout> out;
 };
 
 /**

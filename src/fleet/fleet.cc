@@ -118,7 +118,6 @@ FleetSim::FleetSim(const server::ServerSpec &spec,
     weights_ = arenas_.empty()
         ? std::vector<double>{}
         : workload::placementWeights(cfg_.placement, traits);
-    baseline_out_.resize(arenas_.size());
 
     events_ = generatePerturbations(
         cfg_.seed, static_cast<std::uint32_t>(server_count_),
@@ -195,6 +194,7 @@ FleetSim::materialize(std::uint32_t s)
     row.arena = arena_idx;
     row.model = arena.cloneBaseline();
     row.model->network().setObsLabel("fleet/srv" + std::to_string(s));
+    row.firstStep = control_steps_;
     arena.noteMaterialized();
     if (obs::enabled()) {
         static obs::Counter &materialized =
@@ -225,23 +225,12 @@ FleetSim::waxDigest() const
 }
 
 void
-FleetSim::applyEventsUpTo(double t)
+FleetSim::queueEventsUpTo(double t, std::size_t step)
 {
     while (events_pos_ < events_.size() &&
            events_[events_pos_].timeS <= t) {
         const PerturbEvent &e = events_[events_pos_++];
-        MaterializedRow &row = materialize(e.server);
-        switch (e.kind) {
-          case PerturbKind::UtilizationDelta:
-            row.pert.utilDelta += e.value;
-            break;
-          case PerturbKind::InletDrift:
-            row.pert.inletDeltaC += e.value;
-            break;
-          case PerturbKind::FanFailure:
-            row.pert.fanPinned = true;
-            break;
-        }
+        materialize(e.server).queued.push_back({step, e.kind, e.value});
         ++events_applied_;
         if (obs::enabled()) {
             static obs::Counter &applied =
@@ -257,18 +246,20 @@ FleetSim::applyEventsUpTo(double t)
 }
 
 void
-FleetSim::setBaselines(double u)
+FleetSim::sampleBaselines(const SliceStep &s)
 {
     for (std::size_t i = 0; i < arenas_.size(); ++i) {
-        server::ServerModel &b = arenas_[i]->baseline();
-        b.setLoad(std::clamp(u * weights_[i], 0.0, 1.0));
-        b.network().setObsClock(t_);
-        baseline_out_[i] = readOut(b);
+        ArchetypeArena &arena = *arenas_[i];
+        server::ServerModel &b = arena.baseline();
+        b.setLoad(std::clamp(s.u * weights_[i], 0.0, 1.0));
+        b.network().setObsClock(s.t);
+        slice_base_out_.push_back(readOut(b));
+        slice_aliased_.push_back(arena.aliasedCount());
     }
 }
 
-void
-FleetSim::setRow(MaterializedRow &row, double u)
+RowReadout
+FleetSim::setRow(MaterializedRow &row, double u, double t) const
 {
     const ArchetypeArena &arena = *arenas_[row.arena];
     double util = std::clamp(
@@ -277,18 +268,28 @@ FleetSim::setRow(MaterializedRow &row, double u)
     server::ServerModel &m = *row.model;
     m.setLoad(util, freq);
     m.network().setInletTemp(inletTempC + row.pert.inletDeltaC);
-    m.network().setObsClock(t_);
-    row.out = readOut(m);
+    m.network().setObsClock(t);
+    return readOut(m);
+}
+
+std::size_t
+FleetSim::firstSliceStep(const MaterializedRow &row) const
+{
+    return row.firstStep > slice_first_step_
+        ? static_cast<std::size_t>(row.firstStep - slice_first_step_)
+        : 0;
 }
 
 void
-FleetSim::advanceRows(double u, double dt)
+FleetSim::stepRows()
 {
     if (rows_.empty())
         return;
     // Shards own contiguous server ranges; rows are looked up in the
     // ordered map, which no task mutates while the region runs, and
-    // each task touches only its own rows.
+    // each task touches only its own rows.  A row runs its whole
+    // slice before the shard moves on to the next row.
+    const std::size_t samples = slice_.size();
     std::uint32_t n = static_cast<std::uint32_t>(server_count_);
     std::uint32_t chunk = static_cast<std::uint32_t>(
         (server_count_ + shard_count_ - 1) / shard_count_);
@@ -299,121 +300,178 @@ FleetSim::advanceRows(double u, double dt)
             return;
         for (auto itr = rows_.lower_bound(lo);
              itr != rows_.end() && itr->first < hi; ++itr) {
-            setRow(itr->second, u);
-            itr->second.model->advance(dt, cfg_.thermalStepS);
+            MaterializedRow &row = itr->second;
+            // The buffer lives as long as the row: size it once, with
+            // room for the horizon sample, so the last slice does not
+            // reallocate every row.
+            if (row.out.capacity() < samples)
+                row.out.reserve(samples + 1);
+            row.out.resize(samples);
+            auto q = row.queued.cbegin();
+            for (std::size_t j = firstSliceStep(row); j < samples; ++j) {
+                const SliceStep &s = slice_[j];
+                for (; q != row.queued.cend() && q->step == j; ++q)
+                    row.pert.apply(q->kind, q->value);
+                row.out[j] = setRow(row, s.u, s.t);
+                if (s.dt > 0.0)
+                    row.model->advance(s.dt, cfg_.thermalStepS);
+            }
+            row.queued.clear();
         }
     });
 }
 
 void
-FleetSim::record(double t)
+FleetSim::fold()
 {
-    // Canonical aggregation order - arena-major, then rows in server
-    // order - so the sums are bit-identical at any thread count and
-    // shard width (the aliased contribution is one multiply, which
-    // only depends on the width-invariant materialization pattern).
-    double cooling = 0.0;
-    double it_power = 0.0;
-    double melt_sum = 0.0;
-    double wax_servers = 0.0;
-    for (std::size_t i = 0; i < arenas_.size(); ++i) {
+    // Canonical aggregation order for every sample - arena-major,
+    // then rows in server order - so the sums are bit-identical at
+    // any thread count, shard width and slice length (the aliased
+    // contribution is one multiply, which only depends on the
+    // width-invariant materialization pattern).  Each sample has its
+    // own accumulator, so walking the rows once per slice adds into
+    // each sample in exactly that order.
+    const std::size_t samples = slice_.size();
+    const std::size_t arenas = arenas_.size();
+    slice_sums_.assign(samples, SampleSums{});
+    for (std::size_t i = 0; i < arenas; ++i) {
         const ArchetypeArena &arena = *arenas_[i];
-        const RowReadout &b = baseline_out_[i];
         // Rows carry their arena's (spec, wax), like the baseline.
         bool wax = arena.baseline().hasWax();
-        double aliased = static_cast<double>(arena.aliasedCount());
-        cooling += aliased * b.coolingW;
-        it_power += aliased * b.wallW;
-        if (wax) {
-            melt_sum += aliased * b.meltFraction;
-            wax_servers += aliased;
+        for (std::size_t j = 0; j < samples; ++j) {
+            const RowReadout &b = slice_base_out_[j * arenas + i];
+            double aliased =
+                static_cast<double>(slice_aliased_[j * arenas + i]);
+            SampleSums &sum = slice_sums_[j];
+            sum.cooling += aliased * b.coolingW;
+            sum.itPower += aliased * b.wallW;
+            if (wax) {
+                sum.melt += aliased * b.meltFraction;
+                sum.waxServers += aliased;
+            }
         }
         std::uint32_t lo = arena.firstServer();
         std::uint32_t hi = lo + arena.count();
         for (auto itr = rows_.lower_bound(lo);
              itr != rows_.end() && itr->first < hi; ++itr) {
-            const RowReadout &r = itr->second.out;
-            cooling += r.coolingW;
-            it_power += r.wallW;
-            if (wax) {
-                melt_sum += r.meltFraction;
-                wax_servers += 1.0;
+            const MaterializedRow &row = itr->second;
+            for (std::size_t j = firstSliceStep(row); j < samples; ++j) {
+                const RowReadout &r = row.out[j];
+                SampleSums &sum = slice_sums_[j];
+                sum.cooling += r.coolingW;
+                sum.itPower += r.wallW;
+                if (wax) {
+                    sum.melt += r.meltFraction;
+                    sum.waxServers += 1.0;
+                }
             }
         }
     }
-    if (cfg_.recordSeries) {
-        cooling_w_.append(t, cooling);
-        it_w_.append(t, it_power);
-        melt_.append(t,
-                     wax_servers > 0.0 ? melt_sum / wax_servers : 0.0);
+    for (std::size_t j = 0; j < samples; ++j) {
+        const SliceStep &s = slice_[j];
+        const SampleSums &sum = slice_sums_[j];
+        if (cfg_.recordSeries) {
+            cooling_w_.append(s.t, sum.cooling);
+            it_w_.append(s.t, sum.itPower);
+            melt_.append(s.t, sum.waxServers > 0.0
+                                  ? sum.melt / sum.waxServers
+                                  : 0.0);
+        }
+        peak_cooling_w_ = std::max(peak_cooling_w_, sum.cooling);
+        peak_it_w_ = std::max(peak_it_w_, sum.itPower);
+        last_cooling_w_ = sum.cooling;
+        if (s.dt > 0.0)
+            cooling_energy_j_ += sum.cooling * s.dt;
     }
-    peak_cooling_w_ = std::max(peak_cooling_w_, cooling);
-    peak_it_w_ = std::max(peak_it_w_, it_power);
-    last_cooling_w_ = cooling;
+}
+
+double
+FleetSim::advanceSlice(double sliceS)
+{
+    require(!done_, "FleetSim::step: run already finished");
+    slice_.clear();
+    slice_base_out_.clear();
+    slice_aliased_.clear();
+    slice_first_step_ = control_steps_;
+    // Serial pass: the events and baselines of every step of the
+    // slice.  Baselines are a handful of rows; serial keeps their
+    // obs streams on the main task and costs nothing next to the
+    // fleet.
+    double moved = 0.0;
+    for (;;) {
+        SliceStep s;
+        s.t = t_;
+        s.u = utilAt(t_);
+        s.dt = std::min(cfg_.controlIntervalS, cfg_.durationS - t_);
+        {
+            obs::Scope scope("fleet.step.events");
+            queueEventsUpTo(s.t, slice_.size());
+        }
+        {
+            obs::Scope scope("fleet.step.baselines");
+            sampleBaselines(s);
+            for (auto &arena : arenas_)
+                arena->baseline().advance(s.dt, cfg_.thermalStepS);
+        }
+        slice_.push_back(s);
+        moved += s.dt;
+        t_ += s.dt;
+        ++control_steps_;
+        std::uint64_t inner = static_cast<std::uint64_t>(
+            std::ceil(s.dt / cfg_.thermalStepS - 1e-9));
+        if (inner == 0)
+            inner = 1;
+        server_steps_ +=
+            static_cast<std::uint64_t>(server_count_) * inner;
+        row_steps_ += static_cast<std::uint64_t>(arenas_.size() +
+                                                 rows_.size()) *
+            inner;
+        if (obs::enabled()) {
+            static obs::Counter &steps =
+                obs::registry().counter("fleet.control_steps");
+            steps.add(1);
+            static obs::Gauge &materialized =
+                obs::registry().gauge("fleet.rows.live");
+            materialized.set(static_cast<double>(rows_.size()));
+        }
+        if (t_ >= cfg_.durationS - 1e-9) {
+            // The horizon sample: due events and a read-out of every
+            // model, but nothing advances (dt 0).
+            t_ = cfg_.durationS;
+            SliceStep h;
+            h.t = t_;
+            h.u = utilAt(t_);
+            queueEventsUpTo(h.t, slice_.size());
+            sampleBaselines(h);
+            slice_.push_back(h);
+            done_ = true;
+            break;
+        }
+        // The slice ends once it covers sliceS, or on the step where
+        // runResumable pauses run(): it tests this same sum.
+        if (moved >= sliceS ||
+            (stop_after_s_ >= 0.0 &&
+             run_advanced_s_ + moved >= stop_after_s_))
+            break;
+    }
+    {
+        obs::Scope scope("fleet.step.rows");
+        stepRows();
+    }
+    {
+        obs::Scope scope("fleet.step.fold");
+        fold();
+    }
+    if (done_)
+        TTS_OBS_EVENT(obs::EventKind::PhaseEnd, t_, "fleet.run",
+                      static_cast<double>(rows_.size()), -1);
+    return moved;
 }
 
 double
 FleetSim::step()
 {
-    require(!done_, "FleetSim::step: run already finished");
-    double u = utilAt(t_);
-    double dt = std::min(cfg_.controlIntervalS, cfg_.durationS - t_);
-    {
-        obs::Scope scope("fleet.step.events");
-        applyEventsUpTo(t_);
-    }
-    {
-        // Baselines are a handful of rows; serial keeps their obs
-        // streams on the main task and costs nothing next to the
-        // fleet.
-        obs::Scope scope("fleet.step.baselines");
-        setBaselines(u);
-        for (auto &arena : arenas_)
-            arena->baseline().advance(dt, cfg_.thermalStepS);
-    }
-    {
-        obs::Scope scope("fleet.step.rows");
-        advanceRows(u, dt);
-    }
-    {
-        obs::Scope scope("fleet.step.fold");
-        record(t_);
-    }
-    cooling_energy_j_ += last_cooling_w_ * dt;
-    t_ += dt;
-    ++control_steps_;
-    std::uint64_t inner = static_cast<std::uint64_t>(
-        std::ceil(dt / cfg_.thermalStepS - 1e-9));
-    if (inner == 0)
-        inner = 1;
-    server_steps_ +=
-        static_cast<std::uint64_t>(server_count_) * inner;
-    row_steps_ += static_cast<std::uint64_t>(arenas_.size() +
-                                             rows_.size()) *
-        inner;
-    if (obs::enabled()) {
-        static obs::Counter &steps =
-            obs::registry().counter("fleet.control_steps");
-        steps.add(1);
-        static obs::Gauge &materialized =
-            obs::registry().gauge("fleet.rows.live");
-        materialized.set(static_cast<double>(rows_.size()));
-    }
-    if (t_ >= cfg_.durationS - 1e-9) {
-        // The horizon sample advances nothing, so its rows are set
-        // and read out serially and it opens no region.
-        t_ = cfg_.durationS;
-        double uf = utilAt(t_);
-        applyEventsUpTo(t_);
-        setBaselines(uf);
-        for (auto &kv : rows_)
-            setRow(kv.second, uf);
-        record(t_);
-        done_ = true;
-        TTS_OBS_EVENT(obs::EventKind::PhaseEnd, t_, "fleet.run",
-                      static_cast<double>(rows_.size()), -1);
-    }
-    return dt;
+    return advanceSlice(0.0);
 }
 
 const server::ServerModel &
@@ -591,15 +649,22 @@ FleetSim::restore(guard::CheckpointReader &r)
 }
 
 double
-FleetSim::advance(double)
+FleetSim::advance(double sliceS)
 {
-    return step();
+    double moved = advanceSlice(sliceS);
+    run_advanced_s_ += moved;
+    return moved;
 }
 
 bool
 FleetSim::run(const guard::CheckpointPolicy &policy)
 {
-    return guard::runResumable(*this, policy, "fleet.checkpoint");
+    stop_after_s_ = policy.stopAfterS;
+    run_advanced_s_ = 0.0;
+    bool finished =
+        guard::runResumable(*this, policy, "fleet.checkpoint");
+    stop_after_s_ = -1.0;
+    return finished;
 }
 
 FleetResult

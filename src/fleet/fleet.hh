@@ -15,19 +15,26 @@
  * fleet/perturbation.hh) lazily materialize private rows the moment
  * they diverge.
  *
- * Each control step opens one shard region on the deterministic
- * exec::ThreadPool: a shard sets the load of every materialized row
- * in its server range, stores the row's read-out (cooling, wall
- * power, melt fraction) and advances it.  The arena baselines step
- * serially before the region, and a serial fold then sums the stored
- * read-outs.  All randomness is drawn from per-server Rng::forStream
- * sub-streams before stepping begins and the fold runs in canonical
- * (arena, server) order, so the entire run - series, peaks, digests
- * - is bit-identical at any thread count and any shard width.  Long
- * runs checkpoint through the CRC-32 guard writer (arena baselines +
- * materialized rows + event cursor) and resume bit-identically, and
- * the whole thing is observable through tts::obs (fleet.* metrics,
- * perturbation trace events, fleet.step.* profile scopes).
+ * The fleet advances a checkpoint slice at a time (15 control steps
+ * of 60 s in a 900 s slice).  A serial pass walks the slice step by
+ * step: it queues each due event on its row (cloning a new row from
+ * the baseline as it stands at that step) and sets, reads out and
+ * advances the arena baselines.  Then one shard region on the
+ * deterministic exec::ThreadPool steps every materialized row of a
+ * shard's server range through the whole slice - applying its queued
+ * events as their steps come up and storing one read-out (cooling,
+ * wall power, melt fraction) per step - and a serial fold sums each
+ * step's read-outs.  Rows never interact between events, so one
+ * region per slice does the same arithmetic as one per step.  All
+ * randomness is drawn from per-server Rng::forStream sub-streams
+ * before stepping begins and the fold runs in canonical (arena,
+ * server) order, so the entire run - series, peaks, digests - is
+ * bit-identical at any thread count, shard width and slice length.
+ * Long runs checkpoint between slices through the CRC-32 guard
+ * writer (arena baselines + materialized rows + event cursor) and
+ * resume bit-identically, and the whole thing is observable through
+ * tts::obs (fleet.* metrics, perturbation trace events, fleet.step.*
+ * profile scopes).
  */
 
 #ifndef TTS_FLEET_FLEET_HH
@@ -75,7 +82,7 @@ struct FleetConfig
     /** Inner thermal integration step (s). */
     double thermalStepS = 15.0;
     /**
-     * Shards of each step's region (each shard owns a contiguous
+     * Shards of each slice's region (each shard owns a contiguous
      * server range and steps the materialized rows in it); 0 picks
      * the default of 8.  Results are bit-identical at any width.
      */
@@ -195,9 +202,11 @@ class FleetSim : public guard::Resumable
     /**
      * Run to completion under guard::runResumable, restoring from
      * policy.path first when that file exists (it must describe the
-     * same fleet configuration).  Writes a checkpoint every
-     * policy.checkpointEveryS simulated seconds when policy.path is
-     * set.
+     * same fleet configuration).  Advances in slices of
+     * policy.checkpointEveryS simulated seconds, writing a
+     * checkpoint after each when policy.path is set; the slice that
+     * reaches policy.stopAfterS ends on that control step, so a
+     * paused run stops where a step() loop would.
      *
      * @return True when the run finished; false when paused by
      *         policy.stopAfterS (state saved to policy.path).
@@ -213,10 +222,19 @@ class FleetSim : public guard::Resumable
     /** @return True when the horizon has been reached. */
     bool done() const override { return done_; }
 
-    /** Advance one control step.  @return Simulated seconds moved. */
+    /**
+     * Advance one control step, plus the horizon sample when the
+     * step reaches the horizon: a slice of one step.
+     * @return Simulated seconds moved.
+     */
     double step();
 
-    /** step(); the control interval is the fleet's own slice. */
+    /**
+     * Advance one slice: control steps until they cover @p sliceS,
+     * reach the horizon, or - inside run() - reach the step on which
+     * run() pauses.  One shard region steps the rows through the
+     * whole slice.  @return Simulated seconds moved.
+     */
     double advance(double sliceS) override;
 
     /** @return Current simulated time (s). */
@@ -294,6 +312,26 @@ class FleetSim : public guard::Resumable
     void restore(guard::CheckpointReader &r) override;
 
   private:
+    /** One control step of the current slice, or its horizon sample. */
+    struct SliceStep
+    {
+        /** Simulated time of the step's sample (s). */
+        double t = 0.0;
+        /** Fleet utilization at t. */
+        double u = 0.0;
+        /** Seconds the step advances; 0 for the horizon sample. */
+        double dt = 0.0;
+    };
+
+    /** One sample's sums, accumulated in canonical order. */
+    struct SampleSums
+    {
+        double cooling = 0.0;
+        double itPower = 0.0;
+        double melt = 0.0;
+        double waxServers = 0.0;
+    };
+
     /** Utilization at time t (trace, or the flat run value). */
     double utilAt(double t) const;
 
@@ -304,39 +342,58 @@ class FleetSim : public guard::Resumable
     ArchetypeArena &arenaOf(std::uint32_t s);
     const ArchetypeArena &arenaOf(std::uint32_t s) const;
 
-    /** Materialize server s (no-op when already materialized). */
+    /**
+     * Materialize server s (no-op when already materialized), cloning
+     * its arena's baseline as it stands now.
+     */
     MaterializedRow &materialize(std::uint32_t s);
 
-    /** Apply every pending event with timeS <= t. */
-    void applyEventsUpTo(double t);
+    /**
+     * The one stepping path (step() and advance() both call it):
+     * the serial pass over the slice's steps, one shard region
+     * (stepRows), and the fold.  See the file comment.
+     */
+    double advanceSlice(double sliceS);
 
     /**
-     * Set each arena baseline's operating point for utilization u at
-     * t_ and store its read-out; serial, on the calling task.
+     * Queue every pending event with timeS <= t on its row at slice
+     * step @p step, materializing rows as they are first hit.
      */
-    void setBaselines(double u);
+    void queueEventsUpTo(double t, std::size_t step);
+
+    /**
+     * Set each arena baseline's operating point for step s and
+     * append its read-out and aliased row count to the slice's
+     * buffers; serial, on the calling task.
+     */
+    void sampleBaselines(const SliceStep &s);
 
     /**
      * Set one row's load, inlet and obs clock for utilization u at
-     * t_ and store its read-out in row.out.  Touches nothing but the
-     * row, so shard tasks call it concurrently on disjoint rows.
+     * time t.  Touches nothing but the row, so shard tasks call it
+     * concurrently on disjoint rows.  @return The row's read-out.
      */
-    void setRow(MaterializedRow &row, double u);
+    RowReadout setRow(MaterializedRow &row, double u, double t) const;
+
+    /** @return The slice step from which @p row is stepped. */
+    std::size_t firstSliceStep(const MaterializedRow &row) const;
 
     /**
-     * The step's one shard region: each shard sets, reads out
-     * (setRow) and advances by dt the materialized rows of its
-     * server range.  Opens no region when no row is materialized.
+     * The slice's one shard region: each shard steps the materialized
+     * rows of its server range from their first slice step to the
+     * slice's end - applying queued events, setting the row (setRow),
+     * storing its read-out and advancing it.  Opens no region when no
+     * row is materialized.
      */
-    void advanceRows(double u, double dt);
+    void stepRows();
 
     /**
-     * Fold the stored read-outs into the aggregate sample at time t:
-     * the only serial pass over rows, in canonical order (arena by
-     * arena: the aliased baseline contribution, then the arena's
-     * rows in server order).
+     * Fold the slice's stored read-outs into one aggregate sample per
+     * step: the only serial pass over rows, each sample summed in
+     * canonical order (arena by arena: the aliased baseline
+     * contribution, then the arena's rows in server order).
      */
-    void record(double t);
+    void fold();
 
     FleetConfig cfg_;
     workload::WorkloadTrace trace_;
@@ -345,8 +402,6 @@ class FleetSim : public guard::Resumable
     std::vector<std::unique_ptr<ArchetypeArena>> arenas_;
     /** Per-arena utilization weights from cfg.placement. */
     std::vector<double> weights_;
-    /** Per-arena baseline read-out of the latest sample. */
-    std::vector<RowReadout> baseline_out_;
     /** Materialized rows keyed by server id (canonical order). */
     std::map<std::uint32_t, MaterializedRow> rows_;
     std::vector<PerturbEvent> events_;
@@ -366,6 +421,23 @@ class FleetSim : public guard::Resumable
     TimeSeries it_w_;
     TimeSeries melt_;
     bool taken_ = false;
+
+    // Slice buffers, reused from slice to slice.
+    /** The slice's steps; the horizon sample, when taken, is last. */
+    std::vector<SliceStep> slice_;
+    /** control_steps_ when the slice began. */
+    std::uint64_t slice_first_step_ = 0;
+    /** Baseline read-outs, [step * arenas + arena]. */
+    std::vector<RowReadout> slice_base_out_;
+    /** Rows aliasing each baseline, same layout. */
+    std::vector<std::uint32_t> slice_aliased_;
+    /** One sum per step. */
+    std::vector<SampleSums> slice_sums_;
+
+    /** stopAfterS of the run() in progress; < 0 when none. */
+    double stop_after_s_ = -1.0;
+    /** Simulated seconds advance() has moved in that run(). */
+    double run_advanced_s_ = 0.0;
 };
 
 } // namespace fleet

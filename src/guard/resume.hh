@@ -59,8 +59,13 @@ class Resumable
     virtual bool done() const = 0;
 
     /**
-     * Advance one step.  @p sliceS is the checkpoint interval; runs
-     * that step by their own clock ignore it.
+     * Advance by about one slice.  @p sliceS is the checkpoint
+     * interval: runResumable() saves once the seconds returned since
+     * the last save reach it.  A run may take one step of its own
+     * clock and ignore it (the resilience arms, the plant), advance
+     * exactly sliceS (the resilience cluster phase), or take whole
+     * control steps until they cover it (the fleet, in one shard
+     * region per call).
      * @return Simulated seconds advanced.
      */
     virtual double advance(double sliceS) = 0;

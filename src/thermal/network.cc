@@ -84,8 +84,8 @@ ServerThermalNetwork::addConduction(int a, int b, double conductance)
     require(a >= 0 && a < static_cast<int>(names_.size()) &&
             b >= 0 && b < static_cast<int>(names_.size()) && a != b,
             "addConduction: bad node ids");
-    require(conductance > 0.0,
-            "addConduction: conductance must be > 0");
+    require(std::isfinite(conductance) && conductance > 0.0,
+            "addConduction: conductance must be finite and > 0");
     links_.push_back({a, b, conductance});
 }
 
@@ -94,7 +94,8 @@ ServerThermalNetwork::setNodePower(int node, double watts)
 {
     require(node >= 0 && node < static_cast<int>(names_.size()),
             "setNodePower: bad node id");
-    require(watts >= 0.0, "setNodePower: power must be >= 0");
+    require(std::isfinite(watts) && watts >= 0.0,
+            "setNodePower: power must be finite and >= 0");
     power_[node] = watts;
 }
 
@@ -110,7 +111,8 @@ void
 ServerThermalNetwork::setDirectAirPower(std::size_t zone, double watts)
 {
     require(zone < zone_count_, "setDirectAirPower: zone out of range");
-    require(watts >= 0.0, "setDirectAirPower: power must be >= 0");
+    require(std::isfinite(watts) && watts >= 0.0,
+            "setDirectAirPower: power must be finite and >= 0");
     direct_air_power_[zone] = watts;
 }
 

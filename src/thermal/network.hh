@@ -135,17 +135,20 @@ class ServerThermalNetwork
     int addPcmNode(const std::string &name, pcm::PcmElement *element,
                    std::size_t zone, bool air_coupled = true);
 
-    /** Add a conduction link (W/K) between two solid nodes. */
+    /**
+     * Add a conduction link (W/K, finite and > 0) between two solid
+     * nodes.
+     */
     void addConduction(int a, int b, double conductance);
 
-    /** Set external power injected into a node (W). */
+    /** Set external power injected into a node (W, finite, >= 0). */
     void setNodePower(int node, double watts);
     /** @return External power currently injected into a node (W). */
     double nodePower(int node) const;
 
     /**
      * Set power dumped directly into the air in a zone (fan motors,
-     * lumped minor components) (W).
+     * lumped minor components) (W, finite, >= 0).
      */
     void setDirectAirPower(std::size_t zone, double watts);
 

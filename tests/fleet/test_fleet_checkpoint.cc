@@ -26,7 +26,18 @@ namespace tts {
 namespace fleet {
 namespace {
 
-const char *kCkptPath = "fleet_resume_test.ckpt";
+/**
+ * @return A checkpoint path of the running test's own: ctest runs
+ * these tests as parallel processes in one directory, and a shared
+ * file let one test restore another's state.
+ */
+std::string
+ckptPath()
+{
+    return std::string("fleet_") +
+        testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".ckpt";
+}
 
 FleetConfig
 warehouseConfig()
@@ -61,10 +72,10 @@ uninterruptedRun(std::size_t threads)
 FleetResult
 chunkedRun(std::size_t threads)
 {
-    std::remove(kCkptPath);
+    std::remove(ckptPath().c_str());
     exec::setGlobalThreads(threads);
     guard::CheckpointPolicy policy;
-    policy.path = kCkptPath;
+    policy.path = ckptPath();
     policy.checkpointEveryS = 900.0;
     policy.stopAfterS = 1800.0;
     FleetResult out;
@@ -81,7 +92,7 @@ chunkedRun(std::size_t threads)
     }
     EXPECT_GE(chunks, 3) << "kill interval never triggered";
     exec::setGlobalThreads(1);
-    std::remove(kCkptPath);
+    std::remove(ckptPath().c_str());
     return out;
 }
 
@@ -111,34 +122,80 @@ TEST(FleetCheckpoint, WarehouseResumeIsBitIdentical)
     EXPECT_EQ(wide.coolingEnergyJ, ref.coolingEnergyJ);
 }
 
+TEST(FleetCheckpoint, PauseOffASliceBoundaryStopsOnItsControlStep)
+{
+    // 60 s steps in 900 s slices: a pause after 1000 s falls inside
+    // the second slice, which must end on the 1020 s step - where a
+    // step() loop pauses - and every resumed chunk likewise.
+    FleetConfig cfg = warehouseConfig();
+    cfg.run.serverCount = 48;
+    cfg.durationS = 3.0 * 3600.0;
+    cfg.controlIntervalS = 60.0;
+    cfg.thermalStepS = 15.0;
+    cfg.perturb.eventsPerServerDay = 2.0;
+    FleetSim whole(server::rd330Spec(), workload::WorkloadTrace{},
+                   cfg);
+    ASSERT_TRUE(whole.run());
+    FleetResult ref = whole.take();
+    ASSERT_GT(ref.materializedRows, 0u);
+
+    std::remove(ckptPath().c_str());
+    guard::CheckpointPolicy policy;
+    policy.path = ckptPath();
+    policy.checkpointEveryS = 900.0;
+    policy.stopAfterS = 1000.0;
+    FleetResult out;
+    for (int chunk = 1;; ++chunk) {
+        ASSERT_LE(chunk, 11) << "resume loop not converging";
+        FleetSim sim(server::rd330Spec(), workload::WorkloadTrace{},
+                     cfg);
+        if (sim.run(policy)) {
+            EXPECT_EQ(chunk, 11);
+            out = sim.take();
+            break;
+        }
+        EXPECT_EQ(sim.timeS(), 1020.0 * chunk);
+    }
+    std::remove(ckptPath().c_str());
+
+    EXPECT_EQ(out.stateDigest, ref.stateDigest);
+    EXPECT_EQ(out.coolingLoadW.times(), ref.coolingLoadW.times());
+    EXPECT_EQ(out.coolingLoadW.values(), ref.coolingLoadW.values());
+    EXPECT_EQ(out.itPowerW.values(), ref.itPowerW.values());
+    EXPECT_EQ(out.meltFraction.values(), ref.meltFraction.values());
+    EXPECT_EQ(out.peakCoolingW, ref.peakCoolingW);
+    EXPECT_EQ(out.coolingEnergyJ, ref.coolingEnergyJ);
+    EXPECT_EQ(out.rowSteps, ref.rowSteps);
+}
+
 TEST(FleetCheckpoint, RestoreRejectsMismatchedConfiguration)
 {
-    std::remove(kCkptPath);
+    std::remove(ckptPath().c_str());
     FleetConfig cfg = warehouseConfig();
     cfg.run.serverCount = 64;
     cfg.perturb.eventsPerServerDay = 0.0;
     FleetSim sim(server::rd330Spec(), workload::WorkloadTrace{},
                  cfg);
     sim.step();
-    sim.save(kCkptPath);
+    sim.save(ckptPath());
 
     FleetConfig other = cfg;
     other.run.serverCount = 65;
     FleetSim bigger(server::rd330Spec(), workload::WorkloadTrace{},
                     other);
-    EXPECT_THROW(bigger.restore(kCkptPath), Error);
+    EXPECT_THROW(bigger.restore(ckptPath()), Error);
 
     FleetConfig reseeded = cfg;
     reseeded.seed ^= 1;
     FleetSim wrong_seed(server::rd330Spec(),
                         workload::WorkloadTrace{}, reseeded);
-    EXPECT_THROW(wrong_seed.restore(kCkptPath), Error);
-    std::remove(kCkptPath);
+    EXPECT_THROW(wrong_seed.restore(ckptPath()), Error);
+    std::remove(ckptPath().c_str());
 }
 
 TEST(FleetCheckpoint, SaveRestoreRoundTripsMidRun)
 {
-    std::remove(kCkptPath);
+    std::remove(ckptPath().c_str());
     FleetConfig cfg = warehouseConfig();
     cfg.run.serverCount = 128;
     cfg.extraEvents = {
@@ -148,10 +205,10 @@ TEST(FleetCheckpoint, SaveRestoreRoundTripsMidRun)
     FleetSim a(server::rd330Spec(), workload::WorkloadTrace{}, cfg);
     for (int i = 0; i < 4; ++i)
         a.step();
-    a.save(kCkptPath);
+    a.save(ckptPath());
 
     FleetSim b(server::rd330Spec(), workload::WorkloadTrace{}, cfg);
-    b.restore(kCkptPath);
+    b.restore(ckptPath());
     EXPECT_EQ(b.timeS(), a.timeS());
     EXPECT_EQ(b.materializedCount(), a.materializedCount());
     EXPECT_EQ(b.stateDigest(), a.stateDigest());
@@ -161,7 +218,7 @@ TEST(FleetCheckpoint, SaveRestoreRoundTripsMidRun)
     while (!b.done())
         b.step();
     EXPECT_EQ(b.stateDigest(), a.stateDigest());
-    std::remove(kCkptPath);
+    std::remove(ckptPath().c_str());
 }
 
 TEST(FleetCheckpoint, NonPositiveIntervalIsRejected)
@@ -169,9 +226,9 @@ TEST(FleetCheckpoint, NonPositiveIntervalIsRejected)
     FleetConfig cfg = warehouseConfig();
     cfg.run.serverCount = 64;
     for (double every : {0.0, -900.0}) {
-        std::remove(kCkptPath);
+        std::remove(ckptPath().c_str());
         guard::CheckpointPolicy policy;
-        policy.path = kCkptPath;
+        policy.path = ckptPath();
         policy.checkpointEveryS = every;
         FleetSim sim(server::rd330Spec(), workload::WorkloadTrace{},
                      cfg);
@@ -188,7 +245,7 @@ TEST(FleetCheckpoint, NonPositiveIntervalIsRejected)
         }
         EXPECT_EQ(sim.timeS(), 0.0);
     }
-    std::remove(kCkptPath);
+    std::remove(ckptPath().c_str());
 }
 
 TEST(FleetCheckpoint, DigestCatchesAOneUlpNudgeAndSurvivesTheCodec)

@@ -222,19 +222,25 @@ TEST(NumericsGuard, AirWalkNamesTheFirstNonFiniteNodeInWalkOrder)
 
 TEST(NumericsGuard, NanStageEnthalpyAtAPcmNodeIsATypedError)
 {
-    // An infinite conductance between two wax nodes at one
-    // temperature carries inf * 0 = NaN into the first stage's dH/dt,
-    // so the second stage looks up the wax temperature at a NaN
-    // enthalpy.  The curve lookup must answer NaN without reading past
-    // its breakpoints, and the air walk then names the node.
+    // Two finite conductances at the largest double tie a wax node
+    // to a warmer and a cooler neighbour.  Each link's heat flow
+    // overflows to an infinity, one into the wax and one out of it,
+    // so the first stage's dH/dt there is inf - inf = NaN and the
+    // second stage looks up the wax temperature at a NaN enthalpy.
+    // The curve lookup must answer NaN without reading past its
+    // breakpoints, and the air walk then names the node.
     ServerThermalNetwork net(testAirflow(), 1, 25.0);
     pcm::BoxSpec box{0.1, 0.08, 0.02};
     pcm::ContainerBank bank(box, 2, 0.019);
     pcm::PcmElement wax(pcm::commercialParaffin(), bank, 40.0, 25.0);
-    pcm::PcmElement twin(pcm::commercialParaffin(), bank, 40.0, 25.0);
+    pcm::PcmElement warm(pcm::commercialParaffin(), bank, 40.0, 30.0);
+    pcm::PcmElement cool(pcm::commercialParaffin(), bank, 40.0, 20.0);
     const int a = net.addPcmNode("wax", &wax, 0);
-    const int b = net.addPcmNode("twin", &twin, 0);
-    net.addConduction(a, b, std::numeric_limits<double>::infinity());
+    const int b = net.addPcmNode("warm", &warm, 0);
+    const int c = net.addPcmNode("cool", &cool, 0);
+    const double huge = std::numeric_limits<double>::max();
+    net.addConduction(a, b, huge);
+    net.addConduction(a, c, huge);
     guard::GuardConfig off;
     off.enabled = false;
     net.setGuardConfig(off);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <string>
@@ -64,6 +65,24 @@ inline void
 sendFrame(int fd, const std::string &payload)
 {
     ASSERT_TRUE(writeAll(fd, encodeFrame(payload)))
+        << std::strerror(errno);
+}
+
+/**
+ * Blocking write of one framed payload to `fd` the way a slow client
+ * sends it: the frame header, a stall of `stall_ms`, then the
+ * payload.
+ */
+inline void
+sendFrameStalled(int fd, const std::string &payload, double stall_ms)
+{
+    const std::string frame = encodeFrame(payload);
+    const std::size_t header = frame.size() - payload.size();
+    ASSERT_TRUE(writeAll(fd, frame.substr(0, header)))
+        << std::strerror(errno);
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(stall_ms));
+    ASSERT_TRUE(writeAll(fd, frame.substr(header)))
         << std::strerror(errno);
 }
 

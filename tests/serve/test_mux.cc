@@ -368,8 +368,10 @@ namespace {
 /**
  * The multi-client soak: `sessions` concurrent framed sessions
  * against one daemon at `workers` width, with the serve fault
- * plan's multi-client draws (malformed payloads, disconnects, slow
- * readers) woven through the traffic.
+ * plan's multi-client draws (malformed payloads, slow-client
+ * stalls, disconnects, slow readers) woven through the traffic.  A
+ * stalled request's frame header goes out, the client sleeps the
+ * plan's stallMs(), then the payload follows.
  */
 void
 runMultiClientSoak(std::size_t sessions, std::size_t workers)
@@ -377,12 +379,14 @@ runMultiClientSoak(std::size_t sessions, std::size_t workers)
     const std::size_t kPerSession = 12;
     ServeFaultProfile profile;
     profile.malformedPerRequest = 0.10;
+    profile.slowClientPerRequest = 0.10;
     profile.disconnectPerRequest = 0.05;
     profile.slowSessionPerSession = 0.25;
     profile.seed = 0x10ad5e55;
     const ServeFaultPlan plan = ServeFaultPlan::generate(
         profile, sessions * kPerSession, sessions);
     ASSERT_GT(plan.countOf(RequestFault::Malformed), 0u);
+    ASSERT_GT(plan.countOf(RequestFault::SlowClient), 0u);
     ASSERT_GT(plan.countOf(RequestFault::Disconnect), 0u);
     ASSERT_GT(plan.slowSessions(), 0u);
 
@@ -424,6 +428,15 @@ runMultiClientSoak(std::size_t sessions, std::size_t workers)
                                         std::to_string(i));
                     slots.push_back(-1);
                     break;
+                  case RequestFault::SlowClient: {
+                    const int which = static_cast<int>(
+                        pick.uniformInt(pool.size()));
+                    sendFrameStalled(
+                        mine, pool[static_cast<std::size_t>(which)],
+                        plan.stallMs());
+                    slots.push_back(which);
+                    break;
+                  }
                   case RequestFault::Disconnect: {
                     const int which = static_cast<int>(
                         pick.uniformInt(pool.size()));

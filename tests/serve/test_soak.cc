@@ -95,8 +95,9 @@ runSoak(std::size_t workers)
     profile.malformedPerRequest = 0.10;
     profile.oversizedPerRequest = 0.05;
     profile.truncatedPerRequest = 0.05;
-    profile.slowClientPerRequest = 0.05;
-    profile.slowClientStallMs = 0.0;
+    // No slow-client stalls: this soak writes its whole hostile
+    // stream at once, so a stall could not reach the mux.  The
+    // socket soak in test_mux.cc stalls its slow clients.
     profile.seed = 0x50a50a50; // shared across widths: same schedule
     const ServeFaultPlan plan =
         ServeFaultPlan::generate(profile, kRequests);
@@ -132,9 +133,9 @@ runSoak(std::size_t workers)
     for (std::size_t i = 0; i < kRequests; ++i) {
         switch (plan.requestFault(i)) {
           case RequestFault::None:
+          // This profile draws neither SlowClient nor Disconnect
+          // (the socket soak in test_mux.cc covers both).
           case RequestFault::SlowClient:
-          // This profile never draws Disconnect (the socket soak in
-          // test_mux.cc covers it); keep the stream faithful.
           case RequestFault::Disconnect: {
             const int which =
                 static_cast<int>(pick.uniformInt(pool.size()));

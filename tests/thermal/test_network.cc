@@ -294,6 +294,27 @@ TEST(ThermalNetwork, NonFiniteInletIsRejectedAtTheSetter)
     EXPECT_TRUE(std::isfinite(net.nodeTemperature(0)));
 }
 
+TEST(ThermalNetwork, NonFiniteConductanceAndPowerAreRejectedAtTheSetters)
+{
+    ServerThermalNetwork net(testAirflow(), 1, 25.0);
+    int a = net.addCapacityNode("a", 100.0, coupling(5.0), 0, 25.0);
+    int b = net.addCapacityNode("b", 100.0, coupling(5.0), 0, 25.0);
+    net.setNodePower(a, 40.0);
+    net.setDirectAirPower(0, 10.0);
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+        EXPECT_THROW(net.addConduction(a, b, bad), FatalError) << bad;
+        EXPECT_THROW(net.setNodePower(a, bad), FatalError) << bad;
+        EXPECT_THROW(net.setDirectAirPower(0, bad), FatalError) << bad;
+        // The rejected values never reached the model.
+        EXPECT_EQ(net.nodePower(a), 40.0);
+        EXPECT_EQ(net.directAirPower(0), 10.0);
+    }
+    net.advance(60.0, 1.0);
+    EXPECT_TRUE(std::isfinite(net.nodeTemperature(a)));
+    EXPECT_TRUE(std::isfinite(net.nodeTemperature(b)));
+}
+
 TEST(Network, RejectsBadConfiguration)
 {
     ServerThermalNetwork net(testAirflow(), 2, 25.0);

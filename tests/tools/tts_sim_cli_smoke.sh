@@ -11,6 +11,10 @@
 #    melt.refrozen events from the materialized rows' shard regions;
 #  - --checkpoint=C --stop-after=7200 then --resume=C prints the
 #    digest of an uninterrupted run;
+#  - --stop-after=1000, off the 900 s checkpoint slice, pauses on the
+#    1020 s control step (the checkpoint holds t = 1020), and the
+#    resumed run prints the uninterrupted run's output byte for
+#    byte;
 #  - a bad checkpoint request is an `error:` with exit 1 for every
 #    command: --checkpoint-every=0 with a file, --resume naming a
 #    missing file (which must not be created), and --stop-after
@@ -72,6 +76,17 @@ got=$(digest "$dir/resume.out")
 [ -n "$want" ] || fail "no digest= in the uninterrupted run"
 [ "$got" = "$want" ] ||
     fail "resumed digest '$got' is not the uninterrupted '$want'"
+
+# A pause that falls inside a checkpoint slice stops on its own
+# control step.
+fleet --checkpoint="$dir/d.ckpt" --stop-after=1000 > "$dir/pause1000.out" ||
+    fail "fleet paused at 1000 s exited $?"
+grep -qx 't = 1020' "$dir/d.ckpt" ||
+    fail "--stop-after=1000 did not pause on the 1020 s step"
+fleet --resume="$dir/d.ckpt" > "$dir/resume1000.out" ||
+    fail "fleet resumed from 1020 s exited $?"
+cmp -s "$dir/resume1000.out" "$dir/full.out" ||
+    fail "run resumed from 1020 s differs from the uninterrupted run"
 
 # Bad checkpoint requests: `error:` and exit 1.
 expect_error() {

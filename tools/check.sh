@@ -17,7 +17,10 @@
 #     tests, the multi-client socket soak, and the tts_sim CLI smoke
 #     (a fleet with metrics, trace and profile on).
 #  3. ASan+UBSan tree (build-asan/, TTS_SANITIZE=address): the guard
-#     and util suites, cluster and fleet save/restore, the PCM
+#     and util suites, cluster save/restore, fleet save/restore and
+#     slice stepping (FleetCheckpoint.*, including the pause off a
+#     slice boundary, and FleetStep.*: a slice stores one read-out per
+#     row per step in buffers indexed by slice step), the PCM
 #     enthalpy curve and element, the thermal kernel, plant
 #     kill/resume, and the serve parsers (frames, requests,
 #     manifests).  tts_hot_path_alloc_test stays out of both
@@ -127,8 +130,9 @@ TTS_THREADS=8 ./build-tsan/tests/tts_serve_test \
     --gtest_filter='ServeDaemon.*' --gtest_repeat=50
 echo "== TSan: multi-client socket soak, 8 sessions x 8 workers =="
 # The mux/batcher/daemon stack under its most concurrent test: 8
-# framed sessions (slow readers, disconnects, malformed frames from
-# the serve fault plan) multiplexed onto 8 workers.  Redundant with
+# framed sessions (slow-client stalls, slow readers, disconnects,
+# malformed frames from the serve fault plan) multiplexed onto 8
+# workers.  Redundant with
 # the full-suite lane above, but kept separate so a data race in the
 # session mux is named by the lane that fails.
 TTS_THREADS=8 ./build-tsan/tests/tts_serve_test \
@@ -152,9 +156,9 @@ echo "== ASan: PCM enthalpy curve + element (the kernel's lookups) =="
 ./build-asan/tests/tts_pcm_test
 echo "== ASan: SoA thermal kernel + airflow memo =="
 ./build-asan/tests/tts_thermal_test
-echo "== ASan: fleet checkpoint save/restore + digest oracle =="
+echo "== ASan: fleet checkpoint save/restore + slice stepping =="
 ./build-asan/tests/tts_fleet_test \
-    --gtest_filter='FleetCheckpoint.*:-FleetCheckpoint.WarehouseResumeIsBitIdentical'
+    --gtest_filter='FleetStep.*:FleetCheckpoint.*:-FleetCheckpoint.WarehouseResumeIsBitIdentical'
 echo "== ASan: plant runner kill/resume =="
 ./build-asan/tests/tts_plant_test --gtest_filter='RunPlant.*'
 echo "== ASan: serve parsers (frame decoder, requests, manifests) =="
