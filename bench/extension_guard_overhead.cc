@@ -104,8 +104,7 @@ main()
     workload::WorkloadTrace trace;
     trace.append(0.0, {0.25, 0.25, 0.25});
     trace.append(3600.0, {0.25, 0.25, 0.25});
-    workload::RoundRobinBalancer balancer;
-    workload::ClusterSimEngine engine(cfg, &balancer, trace, nullptr);
+    workload::ClusterSimEngine engine(cfg, trace, nullptr);
     engine.runUntil(1800.0);
 
     Clock::time_point t0 = Clock::now();
@@ -114,9 +113,7 @@ main()
     std::string doc = w.finish();
     double save_ms = millisSince(t0);
 
-    workload::RoundRobinBalancer balancer2;
-    workload::ClusterSimEngine restored(cfg, &balancer2, trace,
-                                        nullptr);
+    workload::ClusterSimEngine restored(cfg, trace, nullptr);
     t0 = Clock::now();
     guard::CheckpointReader r(doc, "<bench>");
     restored.restore(r);

@@ -275,7 +275,6 @@ struct ResilienceRunner::Impl : guard::Resumable
     ResilienceScenario scenario;
     ResilienceConfig opt;
     workload::WorkloadTrace trace;
-    workload::RoundRobinBalancer balancer;
 
     int phase = kArmNoWax;
     ResilienceResult out;
@@ -308,7 +307,7 @@ struct ResilienceRunner::Impl : guard::Resumable
     makeEngine()
     {
         engine = std::make_unique<workload::ClusterSimEngine>(
-            opt.cluster, &balancer, trace, &scenario.faults);
+            opt.cluster, trace, &scenario.faults);
         cluster_target = trace.startTime();
         TTS_OBS_EVENT(obs::EventKind::PhaseBegin, cluster_target,
                       "resilience.cluster", scenario.utilization,

@@ -1,6 +1,5 @@
 #include "core/thermal_time_shifting.hh"
 
-#include "exec/parallel.hh"
 #include "tco/model.hh"
 #include "util/units.hh"
 
@@ -63,17 +62,6 @@ runPlatformStudy(const server::ServerSpec &spec,
         datacenter::Datacenter(spec).serverCount(),
         out.throughput.throughputGain());
     return out;
-}
-
-std::vector<PlatformStudy>
-runPlatformStudies(const std::vector<server::ServerSpec> &specs,
-                   const workload::WorkloadTrace &trace,
-                   const PlatformConfig &options)
-{
-    return exec::parallel_map(
-        specs, [&](const server::ServerSpec &spec) {
-            return runPlatformStudy(spec, trace, options);
-        });
 }
 
 } // namespace core

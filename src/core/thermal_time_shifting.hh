@@ -84,21 +84,6 @@ PlatformStudy runPlatformStudy(
     const workload::WorkloadTrace &trace,
     const PlatformConfig &options = PlatformConfig{});
 
-/**
- * Run the full Section 5 pipeline for several platforms, fanned out
- * across threads (tts::exec; set TTS_THREADS to control the width).
- * Results come back in spec order and are identical to calling
- * runPlatformStudy serially per platform.
- *
- * @param specs   Platforms, e.g. paperPlatforms().
- * @param trace   Load trace shared by all platforms.
- * @param options Pipeline options shared by all platforms.
- */
-std::vector<PlatformStudy> runPlatformStudies(
-    const std::vector<server::ServerSpec> &specs,
-    const workload::WorkloadTrace &trace,
-    const PlatformConfig &options = PlatformConfig{});
-
 } // namespace core
 } // namespace tts
 

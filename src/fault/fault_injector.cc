@@ -1,7 +1,6 @@
 #include "fault/fault_injector.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "obs/obs.hh"
 #include "util/error.hh"
@@ -42,15 +41,6 @@ FaultInjector::advanceTo(double t)
         apply(events[next_]);
         ++next_;
     }
-}
-
-double
-FaultInjector::nextEventTime() const
-{
-    const auto &events = schedule_.events();
-    return next_ < events.size()
-               ? events[next_].timeS
-               : std::numeric_limits<double>::infinity();
 }
 
 void

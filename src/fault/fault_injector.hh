@@ -50,9 +50,6 @@ class FaultInjector
      */
     void advanceTo(double t);
 
-    /** @return Time of the next unapplied event, or +inf. */
-    double nextEventTime() const;
-
     /** @return True if server i is up. */
     bool serverAlive(std::size_t i) const;
     /** @return True if server i's fan bank has failed. */

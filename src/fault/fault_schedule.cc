@@ -1,6 +1,7 @@
 #include "fault/fault_schedule.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <istream>
@@ -37,6 +38,27 @@ formatDouble(double v)
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.17g", v);
     return buf;
+}
+
+/**
+ * @return The server index a schedule line's target token names:
+ *         noTarget for "-", else a non-empty run of decimal digits
+ *         below noTarget (no sign, no base prefix, no suffix).
+ * @throws FatalError naming the token and line otherwise.
+ */
+std::size_t
+parseTarget(const std::string &token, std::size_t line_no)
+{
+    if (token == "-")
+        return FaultEvent::noTarget;
+    std::size_t target = 0;
+    const char *end = token.data() + token.size();
+    auto [ptr, ec] = std::from_chars(token.data(), end, target);
+    require(ec == std::errc() && ptr == end &&
+                target != FaultEvent::noTarget,
+            "FaultSchedule::parse: bad target '" + token +
+                "' at line " + std::to_string(line_no));
+    return target;
 }
 
 } // namespace
@@ -171,17 +193,7 @@ FaultSchedule::read(std::istream &in)
         e.kind = faultKindFromString(kind_name);
         e.timeS = time_s;
         e.magnitude = magnitude;
-        if (target_str == "-") {
-            e.target = FaultEvent::noTarget;
-        } else {
-            try {
-                e.target = std::stoull(target_str);
-            } catch (const std::exception &) {
-                fatal("FaultSchedule::parse: bad target '" +
-                      target_str + "' at line " +
-                      std::to_string(line_no));
-            }
-        }
+        e.target = parseTarget(target_str, line_no);
         sched.add(e);
     }
     return sched;

@@ -70,8 +70,6 @@ class WeatherTrace
 
     /** @return First sample time (s). */
     double startS() const { return series_.startTime(); }
-    /** @return Last sample time (s). */
-    double endS() const { return series_.endTime(); }
 
     /** @return The underlying (t s, ambient C) series. */
     const TimeSeries &series() const { return series_; }

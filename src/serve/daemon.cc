@@ -227,13 +227,6 @@ Daemon::stats() const
     return stats_;
 }
 
-std::size_t
-Daemon::queueDepth() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return queue_.size();
-}
-
 void
 Daemon::workerLoop()
 {

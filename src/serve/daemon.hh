@@ -179,13 +179,6 @@ class Daemon
     /** @return Miss-batcher counters (sweeps/jobs/coalesced/...). */
     BatchStats batchStats() const { return batcher_.stats(); }
 
-    /** @return Resident cache entries. */
-    std::size_t cacheSize() const { return cache_.size(); }
-
-    /** @return Requests queued right now (snapshot; for tests and
-     *  the bench harness). */
-    std::size_t queueDepth() const;
-
     /** @return The configuration the daemon runs with. */
     const DaemonConfig &config() const { return config_; }
 

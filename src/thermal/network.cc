@@ -140,17 +140,6 @@ ServerThermalNetwork::setInletTemp(double t_c)
     inlet_temp_ = t_c;
 }
 
-void
-ServerThermalNetwork::setKernelCacheEnabled(bool enabled)
-{
-    kernel_cache_ = enabled;
-    // Force a rebuild on next use so a re-enable never reads stale
-    // tables.
-    csr_topo_rev_ = ~std::uint64_t{0};
-    ua_topo_rev_ = ~std::uint64_t{0};
-    ua_airflow_rev_ = ~std::uint64_t{0};
-}
-
 double
 ServerThermalNetwork::tempOf(std::size_t i, double h) const
 {

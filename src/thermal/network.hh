@@ -301,16 +301,6 @@ class ServerThermalNetwork
     int findNode(const std::string &name) const;
 
     /**
-     * Enable/disable the conductance + topology caches (defaults to
-     * KernelConfig.networkCache at construction).  Disabling gives
-     * the reference recompute-per-call kernel; results are
-     * bit-identical either way.
-     */
-    void setKernelCacheEnabled(bool enabled);
-    /** @return True when the kernel caches are on. */
-    bool kernelCacheEnabled() const { return kernel_cache_; }
-
-    /**
      * Observability: label prefixed to node names in emitted trace
      * events (e.g. "with_wax/srv"); empty by default.
      */

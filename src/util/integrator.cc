@@ -9,31 +9,6 @@
 namespace tts {
 
 void
-ForwardEuler::step(const OdeRhs &rhs, double t, double dt,
-                   std::vector<double> &state)
-{
-    k1_.resize(state.size());
-    rhs(t, state, k1_);
-    for (std::size_t i = 0; i < state.size(); ++i)
-        state[i] += dt * k1_[i];
-}
-
-void
-Midpoint::step(const OdeRhs &rhs, double t, double dt,
-               std::vector<double> &state)
-{
-    k1_.resize(state.size());
-    tmp_.resize(state.size());
-    k2_.resize(state.size());
-    rhs(t, state, k1_);
-    for (std::size_t i = 0; i < state.size(); ++i)
-        tmp_[i] = state[i] + 0.5 * dt * k1_[i];
-    rhs(t + 0.5 * dt, tmp_, k2_);
-    for (std::size_t i = 0; i < state.size(); ++i)
-        state[i] += dt * k2_[i];
-}
-
-void
 RungeKutta4::step(const OdeRhs &rhs, double t, double dt,
                   std::vector<double> &state)
 {
@@ -165,7 +140,7 @@ AdaptiveRk23::integrate(
 }
 
 void
-integrate(Integrator &stepper, const OdeRhs &rhs, double t0, double t1,
+integrate(RungeKutta4 &stepper, const OdeRhs &rhs, double t0, double t1,
           double dt, std::vector<double> &state,
           const std::function<void(double,
               const std::vector<double> &)> &observer)
@@ -187,8 +162,8 @@ integrate(Integrator &stepper, const OdeRhs &rhs, double t0, double t1,
         if (bad >= 0) {
             throw guard::NumericsError(
                 "integrate: non-finite state entry " +
-                    std::to_string(bad) + " after " +
-                    std::string(stepper.name()) + " step at t=" +
+                    std::to_string(bad) +
+                    " after RungeKutta4 step at t=" +
                     std::to_string(t + h),
                 std::string(), -1, t + h, 0.0, bad);
         }

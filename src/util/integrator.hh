@@ -1,10 +1,12 @@
 /**
  * @file
- * Explicit ODE steppers over flat state vectors.
+ * Explicit ODE integrators over flat state vectors.
  *
- * The thermal solver integrates node enthalpies dH/dt = f(t, H).  The
- * steppers here are deliberately simple and allocation-free in the
- * inner loop; the state is a std::vector<double> reused across steps.
+ * The thermal solver integrates node enthalpies dH/dt = f(t, H) with
+ * fixed-step classic RK4 (integrate()); its guard falls back to the
+ * adaptive Bogacki-Shampine pair when retries fail.  The inner loops
+ * are allocation-free; the state is a std::vector<double> reused
+ * across steps.
  */
 
 #ifndef TTS_UTIL_INTEGRATOR_HH
@@ -26,12 +28,10 @@ using OdeRhs = std::function<void(double t,
                                   const std::vector<double> &state,
                                   std::vector<double> &deriv)>;
 
-/** Abstract single-step integrator. */
-class Integrator
+/** Classic fourth-order Runge-Kutta stepper. */
+class RungeKutta4
 {
   public:
-    virtual ~Integrator() = default;
-
     /**
      * Advance the state in place by one step.
      *
@@ -40,44 +40,8 @@ class Integrator
      * @param dt    Step size (s), must be > 0.
      * @param state State vector, updated in place.
      */
-    virtual void step(const OdeRhs &rhs, double t, double dt,
-                      std::vector<double> &state) = 0;
-
-    /** @return Human-readable stepper name. */
-    virtual const char *name() const = 0;
-};
-
-/** First-order explicit (forward) Euler stepper. */
-class ForwardEuler : public Integrator
-{
-  public:
     void step(const OdeRhs &rhs, double t, double dt,
-              std::vector<double> &state) override;
-    const char *name() const override { return "ForwardEuler"; }
-
-  private:
-    std::vector<double> k1_;
-};
-
-/** Second-order explicit midpoint (RK2) stepper. */
-class Midpoint : public Integrator
-{
-  public:
-    void step(const OdeRhs &rhs, double t, double dt,
-              std::vector<double> &state) override;
-    const char *name() const override { return "Midpoint"; }
-
-  private:
-    std::vector<double> k1_, tmp_, k2_;
-};
-
-/** Classic fourth-order Runge-Kutta stepper. */
-class RungeKutta4 : public Integrator
-{
-  public:
-    void step(const OdeRhs &rhs, double t, double dt,
-              std::vector<double> &state) override;
-    const char *name() const override { return "RungeKutta4"; }
+              std::vector<double> &state);
 
   private:
     std::vector<double> k1_, k2_, k3_, k4_, tmp_;
@@ -135,10 +99,10 @@ class AdaptiveRk23
 };
 
 /**
- * Integrate from t0 to t1 with fixed steps, invoking an observer after
- * every step.
+ * Integrate from t0 to t1 with fixed RK4 steps, invoking an observer
+ * after every step.
  *
- * @param stepper  Stepper to use.
+ * @param stepper  Stepper (its stage buffers are reused).
  * @param rhs      Derivative function.
  * @param t0       Start time (s).
  * @param t1       End time (s); must be >= t0.
@@ -152,7 +116,7 @@ class AdaptiveRk23
  * @throws guard::NumericsError naming the first non-finite state
  *         entry if a step produces NaN/Inf.
  */
-void integrate(Integrator &stepper, const OdeRhs &rhs, double t0,
+void integrate(RungeKutta4 &stepper, const OdeRhs &rhs, double t0,
                double t1, double dt, std::vector<double> &state,
                const std::function<void(double,
                    const std::vector<double> &)> &observer = nullptr);

@@ -45,9 +45,7 @@ DcSimResult::rackUtilizationSpread() const
     return spreadOf(perRackUtilization);
 }
 
-ClusterSim::ClusterSim(const DcSimConfig &config,
-                       std::unique_ptr<LoadBalancer> balancer)
-    : config_(config), balancer_(std::move(balancer))
+ClusterSim::ClusterSim(const DcSimConfig &config) : config_(config)
 {
     require(config_.serverCount >= 1, "ClusterSim: need servers");
     require(config_.slotsPerServer >= 1, "ClusterSim: need slots");
@@ -55,8 +53,6 @@ ClusterSim::ClusterSim(const DcSimConfig &config,
             "ClusterSim: mean service time must be > 0");
     require(config_.statsIntervalS > 0.0,
             "ClusterSim: stats interval must be > 0");
-    if (!balancer_)
-        balancer_ = std::make_unique<RoundRobinBalancer>();
 }
 
 namespace {
@@ -125,7 +121,6 @@ checkedTrace(const WorkloadTrace &trace)
 struct ClusterSimEngine::Impl
 {
     DcSimConfig config;
-    LoadBalancer *balancer;
     const WorkloadTrace &trace;
     const std::vector<fault::FaultEvent> &events;
 
@@ -141,8 +136,10 @@ struct ClusterSimEngine::Impl
     std::vector<bool> alive;
     std::vector<std::uint64_t> epoch;
     std::size_t alive_count;
+    /** Round-robin cursor: the n-th dispatched job goes to the
+     *  (n mod alive_count)-th alive server. */
+    std::uint64_t cursor = 0;
     int gap_depth = 0;
-    std::vector<std::size_t> alive_idx, alive_depths;
     std::vector<InFlight> inflight;
     std::vector<std::size_t> free_ids;
     double next_arrival;
@@ -169,9 +166,9 @@ struct ClusterSimEngine::Impl
         "dcsim.queue.depth",
         {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
 
-    Impl(const DcSimConfig &cfg, LoadBalancer *lb,
-         const WorkloadTrace &tr, const fault::FaultSchedule *faults)
-        : config(cfg), balancer(lb), trace(checkedTrace(tr)),
+    Impl(const DcSimConfig &cfg, const WorkloadTrace &tr,
+         const fault::FaultSchedule *faults)
+        : config(cfg), trace(checkedTrace(tr)),
           events(eventsOf(faults)), t0(trace.startTime()),
           t1(trace.endTime()),
           slots(static_cast<double>(cfg.slotsPerServer)),
@@ -181,7 +178,6 @@ struct ClusterSimEngine::Impl
           depths(cfg.serverCount, 0), alive(cfg.serverCount, true),
           epoch(cfg.serverCount, 0), alive_count(cfg.serverCount)
     {
-        require(balancer != nullptr, "ClusterSimEngine: no balancer");
         for (auto &s : servers)
             s.last_update = t0;
         result.clusterUtilization.setName("cluster_util");
@@ -267,10 +263,24 @@ struct ClusterSimEngine::Impl
         pushDeparture({now + service, sv, id, epoch[sv]});
     }
 
+    /** @return The k-th alive server in index order (k < alive_count). */
+    std::size_t
+    kthAlive(std::size_t k) const
+    {
+        // With every server up (the usual case) that is server k, and
+        // the scan is skipped: dispatch is on the path of the cluster
+        // phase, which is nearly all of a resilience run's time.
+        if (alive_count == config.serverCount)
+            return k;
+        for (std::size_t i = 0;; ++i)
+            if (alive[i] && k-- == 0)
+                return i;
+    }
+
     // Apply every fault event with time <= t.  A crash destroys the
-    // target's running and queued jobs (graceful degradation: the
-    // balancer routes later arrivals around the corpse); a recovery
-    // returns it empty.  Thermal-side kinds are no-ops here.
+    // target's running and queued jobs (graceful degradation: it
+    // leaves the rotation, so later arrivals go around the corpse); a
+    // recovery returns it empty.  Thermal-side kinds are no-ops here.
     void
     applyFaultsTo(double t)
     {
@@ -431,23 +441,8 @@ struct ClusterSimEngine::Impl
                 TTS_OBS_COUNT(obs_dropped, 1);
                 continue;
             }
-            std::size_t sv;
-            if (alive_count == config.serverCount) {
-                sv = balancer->pick(depths);
-            } else {
-                // Re-dispatch around dead servers: offer the
-                // balancer the compacted alive view and map its pick
-                // back.
-                alive_idx.clear();
-                alive_depths.clear();
-                for (std::size_t i = 0; i < config.serverCount; ++i) {
-                    if (alive[i]) {
-                        alive_idx.push_back(i);
-                        alive_depths.push_back(depths[i]);
-                    }
-                }
-                sv = alive_idx[balancer->pick(alive_depths)];
-            }
+            std::size_t sv = kthAlive(
+                static_cast<std::size_t>(cursor++ % alive_count));
             ServerState &state = servers[sv];
             std::uint64_t id = allocId(now, classAt(now));
             bool accepted = true;
@@ -599,9 +594,7 @@ struct ClusterSimEngine::Impl
                         result.completedByClass[1],
                         result.completedByClass[2]});
 
-        std::vector<std::uint64_t> bal;
-        balancer->saveState(bal);
-        w.putU64Vector("balancer", bal);
+        w.putU64Vector("balancer", {cursor});
     }
 
     void
@@ -671,6 +664,12 @@ struct ClusterSimEngine::Impl
                 "dcsim checkpoint: bad epochs");
         alive_count = static_cast<std::size_t>(
             r.expectU64("alive_count"));
+        // Dispatch walks the alive set for the k-th alive server, so
+        // the count must match the set it indexes.
+        require(alive_count == static_cast<std::size_t>(std::count(
+                                   alive.begin(), alive.end(), true)),
+                "dcsim checkpoint: alive_count disagrees with the "
+                "alive set");
         gap_depth = static_cast<int>(r.expectI64("gap_depth"));
 
         std::uint64_t nif = r.expectU64("inflight");
@@ -721,21 +720,18 @@ struct ClusterSimEngine::Impl
         for (std::size_t i = 0; i < jobClassCount; ++i)
             result.completedByClass[i] = u64s[i];
 
-        std::vector<std::uint64_t> bal =
-            r.expectU64Vector("balancer");
-        std::size_t pos = 0;
-        balancer->restoreState(bal, pos);
-        require(pos == bal.size(),
-                "dcsim checkpoint: balancer state not fully "
-                "consumed");
+        u64s = r.expectU64Vector("balancer");
+        require(u64s.size() == 1,
+                "dcsim checkpoint: balancer state must be one cursor "
+                "word");
+        cursor = u64s[0];
     }
 };
 
 ClusterSimEngine::ClusterSimEngine(const DcSimConfig &config,
-                                   LoadBalancer *balancer,
                                    const WorkloadTrace &trace,
                                    const fault::FaultSchedule *faults)
-    : impl_(std::make_unique<Impl>(config, balancer, trace, faults))
+    : impl_(std::make_unique<Impl>(config, trace, faults))
 {
 }
 
@@ -788,7 +784,7 @@ DcSimResult
 ClusterSim::run(const WorkloadTrace &trace,
                 const fault::FaultSchedule *faults)
 {
-    ClusterSimEngine engine(config_, balancer_.get(), trace, faults);
+    ClusterSimEngine engine(config_, trace, faults);
     engine.runUntil(std::numeric_limits<double>::infinity());
     return engine.take();
 }

@@ -3,10 +3,11 @@
  * DCSim-style event-driven cluster simulator.
  *
  * Reimplements the published description of DCSim (Kontorinis et
- * al.): jobs arrive following the input load trace, a load balancer
- * dispatches them to servers, each server runs jobs on a fixed number
- * of slots (logical threads) with FIFO queueing, and the simulator
- * records per-server utilization, latency, and cluster throughput.
+ * al.): jobs arrive following the input load trace, round-robin
+ * dispatch sends them to servers, each server runs jobs on a fixed
+ * number of slots (logical threads) with FIFO queueing, and the
+ * simulator records per-server utilization, latency, and cluster
+ * throughput.
  * The cluster model is then extrapolated to the datacenter by the
  * higher layers, exactly as the paper does.
  *
@@ -26,7 +27,6 @@
 #include "util/stats.hh"
 #include "util/time_series.hh"
 #include "workload/job.hh"
-#include "workload/load_balancer.hh"
 #include "workload/trace.hh"
 
 namespace tts {
@@ -123,21 +123,24 @@ struct DcSimResult
  * ClusterSim::run() is a thin wrapper driving this engine to the end
  * of the trace.
  *
- * The trace, fault schedule, and balancer are configuration: the
- * caller reconstructs them and passes them again on resume; only the
- * evolving state (including the balancer's cursor/RNG via
- * LoadBalancer::saveState) is checkpointed.
+ * Dispatch is the paper's round-robin over the alive servers: the
+ * k-th alive server in index order, k = cursor++ mod alive count.
+ * With every server alive that is plain round-robin; a crash drops
+ * the dead server from the rotation without resetting the cursor.
+ *
+ * The trace and fault schedule are configuration: the caller
+ * reconstructs them and passes them again on resume; only the
+ * evolving state (including the dispatch cursor) is checkpointed.
  */
 class ClusterSimEngine
 {
   public:
     /**
      * @param config   Simulator configuration.
-     * @param balancer Dispatch policy; must outlive the engine.
      * @param trace    Load trace; must outlive the engine.
      * @param faults   Fault schedule, or nullptr.
      */
-    ClusterSimEngine(const DcSimConfig &config, LoadBalancer *balancer,
+    ClusterSimEngine(const DcSimConfig &config,
                      const WorkloadTrace &trace,
                      const fault::FaultSchedule *faults);
     ~ClusterSimEngine();
@@ -166,13 +169,12 @@ class ClusterSimEngine
      */
     DcSimResult take();
 
-    /** Serialize the full engine state (including the balancer's). */
+    /** Serialize the full engine state (including the cursor). */
     void save(guard::CheckpointWriter &w) const;
 
     /**
      * Restore state saved by save().  The engine must have been
-     * constructed with the same config, trace, schedule, and
-     * balancer type.
+     * constructed with the same config, trace, and schedule.
      */
     void restore(guard::CheckpointReader &r);
 
@@ -185,13 +187,8 @@ class ClusterSimEngine
 class ClusterSim
 {
   public:
-    /**
-     * @param config   Simulator configuration.
-     * @param balancer Dispatch policy; defaults to round-robin.
-     */
-    explicit ClusterSim(const DcSimConfig &config,
-                        std::unique_ptr<LoadBalancer> balancer =
-                            nullptr);
+    /** @param config Simulator configuration. */
+    explicit ClusterSim(const DcSimConfig &config);
 
     /**
      * Run the simulator over a load trace.
@@ -210,7 +207,7 @@ class ClusterSim
      *
      *  - ServerCrash kills the target's running and queued jobs
      *    (counted in droppedJobs and crashKilledJobs) and removes it
-     *    from dispatch; the balancer re-routes subsequent arrivals
+     *    from the round-robin rotation, so subsequent arrivals go
      *    around it.  If every server is dead, arrivals are dropped
      *    (rejectedNoAliveServer).
      *  - ServerRecover returns the target, empty, to the pool.
@@ -233,7 +230,6 @@ class ClusterSim
 
   private:
     DcSimConfig config_;
-    std::unique_ptr<LoadBalancer> balancer_;
 };
 
 } // namespace workload

@@ -1,7 +1,6 @@
 #include "workload/placement.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/error.hh"
 
@@ -125,70 +124,6 @@ placementWeights(PlacementPolicy policy,
       }
     }
     return normalize(traits, std::move(raw));
-}
-
-std::vector<double>
-expandArchetypeWeights(const std::vector<ArchetypeLoadTraits> &traits,
-                       const std::vector<double> &weights)
-{
-    require(traits.size() == weights.size(),
-            "expandArchetypeWeights: traits/weights size mismatch");
-    std::vector<double> out;
-    for (std::size_t i = 0; i < traits.size(); ++i)
-        out.insert(out.end(), traits[i].count, weights[i]);
-    return out;
-}
-
-WeightedRoundRobinBalancer::WeightedRoundRobinBalancer(
-    std::vector<double> weights)
-    : weights_(std::move(weights)),
-      credit_(weights_.size(), 0.0)
-{
-    require(!weights_.empty(),
-            "WeightedRoundRobinBalancer: no servers");
-    for (double w : weights_) {
-        require(w > 0.0,
-                "WeightedRoundRobinBalancer: weights must be > 0");
-        total_ += w;
-    }
-}
-
-std::size_t
-WeightedRoundRobinBalancer::pick(
-    const std::vector<std::size_t> &depths)
-{
-    require(depths.size() == weights_.size(),
-            "WeightedRoundRobinBalancer: depth vector size mismatch");
-    std::size_t best = 0;
-    for (std::size_t i = 0; i < credit_.size(); ++i) {
-        credit_[i] += weights_[i];
-        if (credit_[i] > credit_[best])
-            best = i;
-    }
-    credit_[best] -= total_;
-    return best;
-}
-
-void
-WeightedRoundRobinBalancer::saveState(
-    std::vector<std::uint64_t> &out) const
-{
-    out.push_back(credit_.size());
-    for (double c : credit_)
-        out.push_back(std::bit_cast<std::uint64_t>(c));
-}
-
-void
-WeightedRoundRobinBalancer::restoreState(
-    const std::vector<std::uint64_t> &in, std::size_t &pos)
-{
-    require(pos < in.size(),
-            "weighted-round-robin: truncated state");
-    std::size_t n = static_cast<std::size_t>(in[pos++]);
-    require(n == credit_.size() && pos + n <= in.size(),
-            "weighted-round-robin: state size mismatch");
-    for (std::size_t i = 0; i < n; ++i)
-        credit_[i] = std::bit_cast<double>(in[pos++]);
 }
 
 } // namespace workload

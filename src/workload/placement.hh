@@ -12,11 +12,6 @@
  * changing the total offered work.  FleetSim applies the weights
  * when it sets each model's load; tts::opt searches over the policy
  * as one dimension of its configuration space.
- *
- * WeightedRoundRobinBalancer is the per-job face of the same idea
- * for DCSim-style dispatch: a smooth weighted round-robin whose
- * long-run pick frequencies match the weights exactly, with the
- * save/restore contract of the other balancers.
  */
 
 #ifndef TTS_WORKLOAD_PLACEMENT_HH
@@ -25,8 +20,6 @@
 #include <cstddef>
 #include <string>
 #include <vector>
-
-#include "workload/load_balancer.hh"
 
 namespace tts {
 namespace workload {
@@ -84,47 +77,6 @@ struct ArchetypeLoadTraits
 std::vector<double> placementWeights(
     PlacementPolicy policy,
     const std::vector<ArchetypeLoadTraits> &traits);
-
-/**
- * Expand per-archetype weights to per-server weights in global
- * server order (archetype-major), for per-job dispatch.
- */
-std::vector<double> expandArchetypeWeights(
-    const std::vector<ArchetypeLoadTraits> &traits,
-    const std::vector<double> &weights);
-
-/**
- * Smooth weighted round-robin dispatch: each pick adds every
- * server's weight to its credit and picks the highest-credit server
- * (first index on ties), subtracting the total weight from the
- * winner.  Long-run pick frequencies converge to the weights; the
- * spread between any server's ideal and actual share is bounded by
- * one pick (the classic smooth-WRR property).
- */
-class WeightedRoundRobinBalancer : public LoadBalancer
-{
-  public:
-    /** @param weights Positive per-server weights. */
-    explicit WeightedRoundRobinBalancer(std::vector<double> weights);
-
-    std::size_t pick(const std::vector<std::size_t> &depths) override;
-    const char *name() const override
-    {
-        return "weighted-round-robin";
-    }
-
-    void saveState(std::vector<std::uint64_t> &out) const override;
-    void restoreState(const std::vector<std::uint64_t> &in,
-                      std::size_t &pos) override;
-
-    /** @return The configured weights. */
-    const std::vector<double> &weights() const { return weights_; }
-
-  private:
-    std::vector<double> weights_;
-    std::vector<double> credit_;
-    double total_ = 0.0;
-};
 
 } // namespace workload
 } // namespace tts

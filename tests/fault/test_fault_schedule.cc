@@ -110,6 +110,38 @@ TEST(FaultSchedule, ParseRejectsMalformedInput)
     EXPECT_EQ(ok.events()[0].target, 3u);
 }
 
+TEST(FaultSchedule, TargetIsDashOrDecimalDigits)
+{
+    const std::string header = "tts-fault-schedule v1\n";
+    // All but 2^64 used to parse: a digit prefix, a base prefix, a
+    // sign, or a value (-1 wraps there) equal to the plant-wide
+    // sentinel that "-" stands for.
+    for (const char *line :
+         {"server_crash 3abc 10 0", "server_crash 0x10 10 0",
+          "server_crash +7 10 0",
+          "server_crash 18446744073709551616 10 0",
+          "cooling_trip -1 600 0.5",
+          "cooling_trip 18446744073709551615 600 0.5"}) {
+        try {
+            FaultSchedule::parse(header + "server_crash 1 5 0\n" +
+                                 line + "\n");
+            ADD_FAILURE() << "accepted '" << line << "'";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("bad target"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("at line 3"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    auto ok = FaultSchedule::parse(header + "server_crash 007 10 0\n"
+                                            "cooling_trip - 600 0.5\n");
+    ASSERT_EQ(ok.size(), 2u);
+    EXPECT_EQ(ok.events()[0].target, 7u);
+    EXPECT_EQ(ok.events()[1].target, FaultEvent::noTarget);
+}
+
 TEST(FaultSchedule, GenerationIsDeterministicPerSeed)
 {
     FaultProfile p;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <limits>
 #include <string>
 
@@ -141,26 +142,6 @@ TEST(ClusterSim, UtilizationSeriesFollowsDiurnalTrace)
               r.clusterUtilization.at(units::hours(4.0)) + 0.2);
 }
 
-TEST(ClusterSim, LeastLoadedBalancerAlsoUniform)
-{
-    ClusterSim sim(smallConfig(),
-                   std::make_unique<LeastLoadedBalancer>());
-    auto r = sim.run(flatTrace(0.6));
-    EXPECT_LT(r.utilizationSpread(), 0.06);
-}
-
-TEST(ClusterSim, RandomBalancerHasMoreSpreadThanRoundRobin)
-{
-    auto cfg = smallConfig();
-    cfg.seed = 11;
-    ClusterSim rr(cfg);
-    ClusterSim rnd(cfg, std::make_unique<RandomBalancer>(3));
-    auto r_rr = rr.run(flatTrace(0.6));
-    auto r_rnd = rnd.run(flatTrace(0.6));
-    EXPECT_LE(r_rr.utilizationSpread(),
-              r_rnd.utilizationSpread() + 0.01);
-}
-
 TEST(ClusterSim, RackMetricsAggregateServers)
 {
     auto cfg = smallConfig();
@@ -242,9 +223,7 @@ TEST(ClusterSimEngine, PausedRunMatchesUninterruptedBitwise)
     DcSimResult want = reference.run(trace);
 
     // Same simulation, paused every 100 simulated seconds.
-    RoundRobinBalancer balancer;
-    ClusterSimEngine engine(smallConfig(), &balancer, trace,
-                            nullptr);
+    ClusterSimEngine engine(smallConfig(), trace, nullptr);
     double t_stop = 100.0;
     while (!engine.runUntil(t_stop))
         t_stop += 100.0;
@@ -256,8 +235,7 @@ TEST(ClusterSimEngine, SaveRestoreRoundTripsMidRun)
     auto trace = flatTrace(0.7);
 
     // Run A: pause mid-run, checkpoint, keep going to the end.
-    RoundRobinBalancer bal_a;
-    ClusterSimEngine a(smallConfig(), &bal_a, trace, nullptr);
+    ClusterSimEngine a(smallConfig(), trace, nullptr);
     ASSERT_FALSE(a.runUntil(1700.0));
     guard::CheckpointWriter w;
     a.save(w);
@@ -267,8 +245,7 @@ TEST(ClusterSimEngine, SaveRestoreRoundTripsMidRun)
     DcSimResult want = a.take();
 
     // Run B: a fresh engine restored from the checkpoint.
-    RoundRobinBalancer bal_b;
-    ClusterSimEngine b(smallConfig(), &bal_b, trace, nullptr);
+    ClusterSimEngine b(smallConfig(), trace, nullptr);
     guard::CheckpointReader r(doc, "test");
     b.restore(r);
     r.expectEnd();
@@ -277,26 +254,81 @@ TEST(ClusterSimEngine, SaveRestoreRoundTripsMidRun)
     expectSameResult(b.take(), want);
 }
 
+/** @return @p doc with the line of @p key replaced and resealed. */
+std::string
+withLine(const std::string &doc, const std::string &key,
+         const std::string &line)
+{
+    std::size_t at = doc.find("\n" + key + " = ");
+    EXPECT_NE(at, std::string::npos) << key;
+    std::size_t end = doc.find('\n', at + 1);
+    std::string body = doc.substr(0, at + 1) + line +
+        doc.substr(end, doc.rfind("crc32 ") - end);
+    char crc[9];
+    std::snprintf(crc, sizeof crc, "%08x", guard::crc32(body));
+    return body + "crc32 " + crc + "\n";
+}
+
+/** A mid-run checkpoint of the small cluster, after 500 s. */
+std::string
+midRunDocument(const WorkloadTrace &trace)
+{
+    ClusterSimEngine a(smallConfig(), trace, nullptr);
+    EXPECT_FALSE(a.runUntil(500.0));
+    guard::CheckpointWriter w;
+    a.save(w);
+    return w.finish();
+}
+
+/** Restore @p doc into a fresh small-cluster engine. */
+void
+restoreSmall(const WorkloadTrace &trace, const std::string &doc)
+{
+    ClusterSimEngine b(smallConfig(), trace, nullptr);
+    guard::CheckpointReader r(doc, "test");
+    b.restore(r);
+    r.expectEnd();
+}
+
 TEST(ClusterSimEngine, RestoreRejectsCorruptDocument)
 {
     auto trace = flatTrace(0.5);
-    RoundRobinBalancer bal;
-    ClusterSimEngine a(smallConfig(), &bal, trace, nullptr);
-    ASSERT_FALSE(a.runUntil(500.0));
-    guard::CheckpointWriter w;
-    a.save(w);
-    std::string doc = w.finish();
+    std::string doc = midRunDocument(trace);
     std::size_t digit = doc.find("rng.s = 4 ");
     ASSERT_NE(digit, std::string::npos);
     doc[digit + 10] = doc[digit + 10] == '1' ? '2' : '1';
+    EXPECT_THROW(restoreSmall(trace, doc), FatalError);
+}
 
-    RoundRobinBalancer bal_b;
-    ClusterSimEngine b(smallConfig(), &bal_b, trace, nullptr);
+TEST(ClusterSimEngine, RestoreWantsExactlyOneCursorWord)
+{
+    auto trace = flatTrace(0.5);
+    const std::string doc = midRunDocument(trace);
+    // A resealed one-word cursor restores; any other length is an
+    // error, not a silent read past the vector.
+    restoreSmall(trace, withLine(doc, "balancer", "balancer = 1 7"));
     EXPECT_THROW(
-        {
-            guard::CheckpointReader r(doc, "test");
-            b.restore(r);
-        },
+        restoreSmall(trace, withLine(doc, "balancer", "balancer = 2 7 0")),
+        FatalError);
+    EXPECT_THROW(
+        restoreSmall(trace, withLine(doc, "balancer", "balancer = 0")),
+        FatalError);
+}
+
+TEST(ClusterSimEngine, RestoreWantsAnAliveCountThatMatchesTheAliveSet)
+{
+    // Dispatch looks up the k-th alive server for k < alive_count; a
+    // count above the alive set would walk off its end.
+    auto trace = flatTrace(0.5);
+    const std::string doc = midRunDocument(trace);
+    restoreSmall(trace, withLine(doc, "alive_count", "alive_count = 16"));
+    EXPECT_THROW(
+        restoreSmall(trace,
+                     withLine(doc, "alive_count", "alive_count = 17")),
+        FatalError);
+    EXPECT_THROW(
+        restoreSmall(trace,
+                     withLine(doc, "alive_count", "alive_count = 15")),
         FatalError);
 }
 

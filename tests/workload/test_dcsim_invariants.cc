@@ -16,13 +16,15 @@
  *     seed, not just the one the performance test happens to use;
  *   - the same bookkeeping survives randomized fault injection:
  *     crashes, recoveries, and trace gaps cannot make a job vanish
- *     or be double-counted, and a dead server completes nothing.
+ *     or be double-counted, and a dead server completes nothing;
+ *   - dispatch is round-robin over the alive servers, job by job.
  */
 
 #include <cmath>
 #include <gtest/gtest.h>
 
 #include "fault/fault_schedule.hh"
+#include "obs/obs.hh"
 #include "util/units.hh"
 #include "workload/dcsim.hh"
 #include "workload/google_trace.hh"
@@ -212,12 +214,48 @@ TEST(DcSimFaultInvariants, DeadServerCompletesNothing)
 
         ASSERT_EQ(r.completedByServer.size(), cfg.serverCount);
         EXPECT_EQ(r.completedByServer[3], 0u) << "seed " << seed;
-        // The balancer re-dispatched around the dead server.
+        // Round-robin dispatch went around the dead server.
         EXPECT_GT(r.completedJobs, 0u) << "seed " << seed;
         EXPECT_EQ(r.offeredJobs,
                   r.completedJobs + r.droppedJobs + r.residualJobs)
             << "seed " << seed;
     }
+}
+
+TEST(DcSimFaultInvariants, DispatchCyclesOverAliveServersInIndexOrder)
+{
+    // Server 2 is down from 600 s to 1200 s.  The n-th dispatched
+    // job goes to the (n mod alive)-th alive server in index order:
+    // the rotation skips the dead server and is never restarted.
+    auto cfg = configForSeed(3);
+    fault::FaultSchedule faults;
+    faults.add(600.0, fault::FaultKind::ServerCrash, 2);
+    faults.add(1200.0, fault::FaultKind::ServerRecover, 2);
+
+    obs::setEnabled(true);
+    obs::resetForTest();
+    auto r = ClusterSim(cfg).run(flatTrace(0.3, 1800.0), &faults);
+    std::vector<obs::TraceEvent> events = obs::drainEvents();
+    obs::setEnabled(false);
+    obs::resetForTest();
+
+    // Light load: no queue overflows, so every offered job is
+    // accepted and traced as one dispatch.
+    ASSERT_EQ(r.droppedJobs, r.crashKilledJobs);
+    std::uint64_t n = 0;
+    for (const obs::TraceEvent &e : events) {
+        if (e.kind != obs::EventKind::JobDispatch)
+            continue;
+        std::vector<std::int64_t> alive;
+        for (std::int64_t s = 0; s < 16; ++s)
+            if (s != 2 || e.timeS < 600.0 || e.timeS >= 1200.0)
+                alive.push_back(s);
+        ASSERT_EQ(e.target, alive[n % alive.size()])
+            << "job " << n << " at t=" << e.timeS;
+        ++n;
+    }
+    EXPECT_EQ(n, r.offeredJobs);
+    EXPECT_GT(r.crashKilledJobs, 0u);
 }
 
 TEST(DcSimFaultInvariants, MidRunCrashKillsInFlightJobsExactly)

@@ -1,8 +1,7 @@
 /**
  * @file
- * Placement-policy tests: weight conservation, skew directions,
- * degenerate collapse to uniform, and the smooth weighted
- * round-robin balancer's frequency and save/restore contracts.
+ * Placement-policy tests: weight conservation, skew directions, and
+ * degenerate collapse to uniform.
  */
 
 #include <gtest/gtest.h>
@@ -107,63 +106,6 @@ TEST(Placement, NamesRoundTripAndReject)
     EXPECT_THROW(placementPolicyFromName("bogus"), FatalError);
     EXPECT_THROW(placementWeights(PlacementPolicy::Uniform, {}),
                  FatalError);
-}
-
-TEST(Placement, ExpandedWeightsFollowArchetypeOrder)
-{
-    std::vector<ArchetypeLoadTraits> traits = {
-        {2, 0.2e6, 90.0, 185.0},
-        {3, 0.8e6, 150.0, 320.0},
-    };
-    auto w = placementWeights(PlacementPolicy::WaxAware, traits);
-    auto per_server = expandArchetypeWeights(traits, w);
-    ASSERT_EQ(per_server.size(), 5u);
-    EXPECT_DOUBLE_EQ(per_server[0], w[0]);
-    EXPECT_DOUBLE_EQ(per_server[1], w[0]);
-    EXPECT_DOUBLE_EQ(per_server[2], w[1]);
-    EXPECT_DOUBLE_EQ(per_server[4], w[1]);
-}
-
-TEST(Placement, SmoothWrrMatchesWeightFrequencies)
-{
-    // Weights 3:2:1 over 600 picks: exactly 300/200/100, and the
-    // running spread between ideal and actual share stays within one
-    // pick (the smooth-WRR property).
-    WeightedRoundRobinBalancer wrr({3.0, 2.0, 1.0});
-    std::vector<std::size_t> depths(3, 0);
-    std::vector<int> picks(3, 0);
-    const int n = 600;
-    for (int i = 1; i <= n; ++i) {
-        std::size_t s = wrr.pick(depths);
-        ASSERT_LT(s, 3u);
-        ++picks[s];
-        double ideal = static_cast<double>(i) *
-            wrr.weights()[s] / 6.0;
-        EXPECT_LE(std::abs(picks[s] - ideal), 1.0 + 1e-9)
-            << "pick " << i;
-    }
-    EXPECT_EQ(picks[0], 300);
-    EXPECT_EQ(picks[1], 200);
-    EXPECT_EQ(picks[2], 100);
-}
-
-TEST(Placement, WrrSaveRestoreRoundTrips)
-{
-    WeightedRoundRobinBalancer a({3.0, 2.0, 1.0});
-    std::vector<std::size_t> depths(3, 0);
-    for (int i = 0; i < 7; ++i)
-        a.pick(depths);
-
-    std::vector<std::uint64_t> blob;
-    a.saveState(blob);
-
-    WeightedRoundRobinBalancer b({3.0, 2.0, 1.0});
-    std::size_t pos = 0;
-    b.restoreState(blob, pos);
-    EXPECT_EQ(pos, blob.size());
-
-    for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(a.pick(depths), b.pick(depths)) << i;
 }
 
 } // namespace

@@ -17,13 +17,15 @@
 #     tests, the multi-client socket soak, and the tts_sim CLI smoke
 #     (a fleet with metrics, trace and profile on).
 #  3. ASan+UBSan tree (build-asan/, TTS_SANITIZE=address): the guard
-#     and util suites, cluster save/restore, fleet save/restore and
-#     slice stepping (FleetCheckpoint.*, including the pause off a
-#     slice boundary, and FleetStep.*: a slice stores one read-out per
-#     row per step in buffers indexed by slice step), the PCM
-#     enthalpy curve and element, the thermal kernel, plant
-#     kill/resume, and the serve parsers (frames, requests,
-#     manifests).  tts_hot_path_alloc_test stays out of both
+#     and util suites, cluster save/restore and round-robin dispatch
+#     around dead servers (DcSimFaultInvariants.*), fleet
+#     save/restore and slice stepping (FleetCheckpoint.*, including
+#     the pause off a slice boundary, and FleetStep.*: a slice stores
+#     one read-out per row per step in buffers indexed by slice step),
+#     the PCM enthalpy curve and element, the thermal kernel, plant
+#     kill/resume, and the untrusted-input parsers: serve frames,
+#     requests and manifests, the fault schedule, the weather trace
+#     and the trace CSV.  tts_hot_path_alloc_test stays out of both
 #     sanitizer trees: it replaces operator new, which their runtimes
 #     interpose.
 #
@@ -144,14 +146,15 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j \
     --target tts_guard_test tts_util_test tts_workload_test \
     tts_pcm_test tts_thermal_test tts_fleet_test tts_plant_test \
-    tts_serve_test > /dev/null
+    tts_serve_test tts_fault_test > /dev/null
 
 echo "== ASan: numerical guard + checkpoint resume + state codecs =="
 ./build-asan/tests/tts_guard_test
 echo "== ASan: integrator + interpolation + kv_json + rng =="
 ./build-asan/tests/tts_util_test
-echo "== ASan: cluster simulator save/restore =="
-./build-asan/tests/tts_workload_test --gtest_filter='ClusterSim*'
+echo "== ASan: cluster simulator save/restore + dead-server dispatch =="
+./build-asan/tests/tts_workload_test \
+    --gtest_filter='ClusterSim*:DcSimFaultInvariants.*'
 echo "== ASan: PCM enthalpy curve + element (the kernel's lookups) =="
 ./build-asan/tests/tts_pcm_test
 echo "== ASan: SoA thermal kernel + airflow memo =="
@@ -164,5 +167,9 @@ echo "== ASan: plant runner kill/resume =="
 echo "== ASan: serve parsers (frame decoder, requests, manifests) =="
 ./build-asan/tests/tts_serve_test \
     --gtest_filter='ServeFraming.*:ServeProtocol.*:ServeManifest.*'
+echo "== ASan: fault-schedule, weather-trace and trace-CSV parsers =="
+./build-asan/tests/tts_fault_test --gtest_filter='FaultSchedule.*'
+./build-asan/tests/tts_plant_test --gtest_filter='WeatherTrace.*'
+./build-asan/tests/tts_workload_test --gtest_filter='TraceIo.*'
 
 echo "OK"
