@@ -37,16 +37,8 @@ restoreModel(guard::CheckpointReader &r, const std::string &key,
     m.restoreThermalState(r, key);
 }
 
-/** @return What model m contributes to a sample in its current state. */
-RowReadout
-readOut(const server::ServerModel &m)
-{
-    RowReadout out;
-    out.coolingW = m.coolingLoad();
-    out.wallW = m.wallPower();
-    out.meltFraction = m.hasWax() ? m.waxMeltFraction() : 0.0;
-    return out;
-}
+/** Steps a lone run takes per slice: its buffers stay this short. */
+constexpr std::size_t kLoneSliceSteps = 16;
 
 } // namespace
 
@@ -59,76 +51,190 @@ platformCounts(std::size_t total, std::size_t slots)
     return counts;
 }
 
+ControlClock::ControlClock(const FleetConfig &cfg,
+                           const workload::WorkloadTrace &trace)
+    : duration_s_(cfg.durationS), control_s_(cfg.controlIntervalS),
+      flat_util_(cfg.run.utilization), trace_(&trace)
+{
+    require(cfg.durationS > 0.0, "FleetSim: durationS must be > 0");
+    require(cfg.controlIntervalS > 0.0 && cfg.thermalStepS > 0.0,
+            "FleetSim: bad step sizes");
+}
+
+double
+ControlClock::utilAt(double t) const
+{
+    if (trace_->size() == 0)
+        return std::clamp(flat_util_, 0.0, 1.0);
+    return std::clamp(trace_->totalAt(t), 0.0, 1.0);
+}
+
+SliceStep
+ControlClock::stepFrom(double t) const
+{
+    SliceStep s;
+    s.t = atHorizon(t) ? duration_s_ : t;
+    s.u = utilAt(s.t);
+    s.dt = stepLength(t);
+    return s;
+}
+
+double
+ControlClock::after(double t, double dt) const
+{
+    t += dt;
+    return atHorizon(t) ? duration_s_ : t;
+}
+
+std::size_t
+ControlClock::sampleCount() const
+{
+    std::size_t n = 1;
+    for (double t = 0.0; !atHorizon(t); t = after(t, stepLength(t)))
+        ++n;
+    return n;
+}
+
+FleetLayout
+layoutFleet(const server::ServerSpec &spec, const FleetConfig &cfg)
+{
+    const std::uint32_t n =
+        static_cast<std::uint32_t>(cfg.run.serverCount);
+    FleetLayout layout;
+    std::vector<server::ServerSpec> specs;
+    if (cfg.mixedPlatforms) {
+        specs = {server::rd330Spec(), server::x4470Spec(),
+                 server::openComputeSpec()};
+    } else {
+        specs = {spec};
+    }
+    std::vector<std::size_t> counts = platformCounts(n, specs.size());
+    std::uint32_t first = 0;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        FleetSlot slot;
+        slot.spec = specs[i];
+        slot.first = first;
+        slot.count = static_cast<std::uint32_t>(counts[i]);
+        first += slot.count;
+        layout.slots.push_back(std::move(slot));
+    }
+
+    layout.events = generatePerturbations(cfg.seed, n, cfg.durationS,
+                                          cfg.perturb);
+    for (const PerturbEvent &e : cfg.extraEvents) {
+        require(e.server < n,
+                "FleetSim: extra event targets server outside fleet");
+        layout.events.push_back(e);
+    }
+    if (!cfg.extraEvents.empty())
+        std::sort(layout.events.begin(), layout.events.end(),
+                  perturbEventLess);
+    for (const PerturbEvent &e : layout.events) {
+        for (FleetSlot &slot : layout.slots) {
+            if (e.server >= slot.first &&
+                e.server < slot.first + slot.count) {
+                slot.events.push_back(e);
+                break;
+            }
+        }
+    }
+    return layout;
+}
+
+workload::ArchetypeLoadTraits
+loadTraits(const server::ServerModel &model, std::size_t count)
+{
+    workload::ArchetypeLoadTraits t;
+    t.count = count;
+    t.latentCapacityJ = model.waxLatentCapacity();
+    t.idleWallW = model.spec().idleWallPowerW;
+    t.peakWallW = model.spec().peakWallPowerW;
+    return t;
+}
+
+void
+runArchetype(const FleetConfig &cfg, const ControlClock &clock,
+             const FleetSlot &slot, const server::WaxConfig &wax,
+             double weight, CoolingTrajectory &out)
+{
+    require(slot.count >= 1, "runArchetype: empty slot");
+    ArchetypeRun run(0, slot.spec, wax, slot.first, slot.count,
+                     clock.utilAt(0.0), slot.events);
+    run.setWeight(weight);
+    if (!cfg.dedupe)
+        for (std::uint32_t s = slot.first; s < slot.first + slot.count;
+             ++s)
+            run.materialize(s, 0);
+    // FleetSim's slice, on one run: events and baseline step by step,
+    // then the rows through the slice, then the record.
+    std::vector<SliceStep> slice;
+    std::uint64_t step = 0;
+    double t = 0.0;
+    bool horizon = false;
+    while (!horizon) {
+        slice.clear();
+        run.beginSlice(step);
+        while (!horizon && slice.size() < kLoneSliceSteps) {
+            const SliceStep s = clock.stepFrom(t);
+            while (run.nextEventTime() <= s.t)
+                run.queueNext(slice.size(), step);
+            run.sampleBaseline(s);
+            if (s.dt > 0.0)
+                run.advanceBaseline(s.dt, cfg.thermalStepS);
+            slice.push_back(s);
+            horizon = s.dt == 0.0;
+            t = clock.after(s.t, s.dt);
+            ++step;
+        }
+        run.stepRows(slot.first, slot.first + slot.count, slice,
+                     cfg.thermalStepS);
+        run.recordCooling(out);
+    }
+}
+
 FleetSim::FleetSim(const server::ServerSpec &spec,
                    const workload::WorkloadTrace &trace,
                    const FleetConfig &cfg)
-    : cfg_(cfg), trace_(trace),
+    : cfg_(cfg), trace_(trace), clock_(cfg_, trace_),
       server_count_(cfg.run.serverCount),
       shard_count_(cfg.shardCount > 0 ? cfg.shardCount : 8),
       cooling_w_("fleet_cooling_w"), it_w_("fleet_it_w"),
       melt_("fleet_melt_fraction")
 {
-    require(cfg_.durationS > 0.0, "FleetSim: durationS must be > 0");
-    require(cfg_.controlIntervalS > 0.0 && cfg_.thermalStepS > 0.0,
-            "FleetSim: bad step sizes");
-
-    double u0 = utilAt(0.0);
-    server::WaxConfig shared_wax = cfg_.run.waxConfig();
-    if (server_count_ > 0) {
-        std::vector<server::ServerSpec> specs;
-        if (cfg_.mixedPlatforms) {
-            specs = {server::rd330Spec(), server::x4470Spec(),
-                     server::openComputeSpec()};
-        } else {
-            specs = {spec};
-        }
-        require(cfg_.archetypeWax.empty() ||
-                    cfg_.archetypeWax.size() == specs.size(),
-                "FleetSim: archetypeWax must carry one entry per "
-                "platform slot (" + std::to_string(specs.size()) +
-                    ")");
-        std::vector<std::size_t> counts =
-            platformCounts(server_count_, specs.size());
-        std::uint32_t first = 0;
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            std::uint32_t count =
-                static_cast<std::uint32_t>(counts[i]);
-            if (count == 0)
-                continue;
-            const server::WaxConfig &wax = cfg_.archetypeWax.empty()
-                ? shared_wax
-                : cfg_.archetypeWax[i];
-            arenas_.push_back(std::make_unique<ArchetypeArena>(
-                specs[i], wax, first, count, u0));
-            first += count;
-        }
+    FleetLayout layout = layoutFleet(spec, cfg_);
+    require(cfg_.archetypeWax.empty() ||
+                cfg_.archetypeWax.size() == layout.slots.size(),
+            "FleetSim: archetypeWax must carry one entry per "
+            "platform slot (" + std::to_string(layout.slots.size()) +
+                ")");
+    const double u0 = clock_.utilAt(0.0);
+    const server::WaxConfig shared_wax = cfg_.run.waxConfig();
+    runs_.reserve(layout.slots.size());
+    for (std::size_t i = 0; i < layout.slots.size(); ++i) {
+        FleetSlot &slot = layout.slots[i];
+        if (slot.count == 0)
+            continue;
+        runs_.emplace_back(runs_.size(), slot.spec,
+                           cfg_.archetypeWax.empty() ? shared_wax
+                                                     : cfg_.archetypeWax[i],
+                           slot.first, slot.count, u0,
+                           std::move(slot.events));
     }
 
     // Placement weights are a pure function of the built arenas, so
     // they are identical at any thread count and across resume.
-    std::vector<workload::ArchetypeLoadTraits> traits;
-    for (const auto &a : arenas_) {
-        workload::ArchetypeLoadTraits t;
-        t.count = a->count();
-        t.latentCapacityJ = a->baseline().waxLatentCapacity();
-        t.idleWallW = a->spec().idleWallPowerW;
-        t.peakWallW = a->spec().peakWallPowerW;
-        traits.push_back(t);
+    if (!runs_.empty()) {
+        std::vector<workload::ArchetypeLoadTraits> traits;
+        for (const ArchetypeRun &r : runs_)
+            traits.push_back(
+                loadTraits(r.arena().baseline(), r.arena().count()));
+        std::vector<double> weights =
+            workload::placementWeights(cfg_.placement, traits);
+        for (std::size_t i = 0; i < runs_.size(); ++i)
+            runs_[i].setWeight(weights[i]);
     }
-    weights_ = arenas_.empty()
-        ? std::vector<double>{}
-        : workload::placementWeights(cfg_.placement, traits);
 
-    events_ = generatePerturbations(
-        cfg_.seed, static_cast<std::uint32_t>(server_count_),
-        cfg_.durationS, cfg_.perturb);
-    for (const PerturbEvent &e : cfg_.extraEvents) {
-        require(e.server < server_count_,
-                "FleetSim: extra event targets server outside fleet");
-        events_.push_back(e);
-    }
-    if (!cfg_.extraEvents.empty())
-        std::sort(events_.begin(), events_.end(), perturbEventLess);
+    events_ = std::move(layout.events);
 
     if (!cfg_.dedupe) {
         // Naive reference path: every row private from the start.
@@ -148,28 +254,38 @@ FleetSim::FleetSim(const server::ServerSpec &spec,
     }
 }
 
-double
-FleetSim::utilAt(double t) const
+ArchetypeRun &
+FleetSim::runOf(std::uint32_t s)
 {
-    if (trace_.size() == 0)
-        return std::clamp(cfg_.run.utilization, 0.0, 1.0);
-    return std::clamp(trace_.totalAt(t), 0.0, 1.0);
-}
-
-ArchetypeArena &
-FleetSim::arenaOf(std::uint32_t s)
-{
-    for (auto &a : arenas_)
-        if (a->covers(s))
-            return *a;
+    for (ArchetypeRun &r : runs_)
+        if (r.arena().covers(s))
+            return r;
     throw Error("FleetSim: server index " + std::to_string(s) +
                 " outside every arena");
 }
 
-const ArchetypeArena &
-FleetSim::arenaOf(std::uint32_t s) const
+const ArchetypeRun &
+FleetSim::runOf(std::uint32_t s) const
 {
-    return const_cast<FleetSim *>(this)->arenaOf(s);
+    return const_cast<FleetSim *>(this)->runOf(s);
+}
+
+bool
+FleetSim::isMaterialized(std::uint32_t s) const
+{
+    for (const ArchetypeRun &r : runs_)
+        if (r.rows().count(s) != 0)
+            return true;
+    return false;
+}
+
+std::size_t
+FleetSim::materializedCount() const
+{
+    std::size_t n = 0;
+    for (const ArchetypeRun &r : runs_)
+        n += r.rows().size();
+    return n;
 }
 
 MaterializedRow &
@@ -179,29 +295,7 @@ FleetSim::materialize(std::uint32_t s)
             "FleetSim: cannot materialize server " +
                 std::to_string(s) + " of " +
                 std::to_string(server_count_));
-    auto it = rows_.find(s);
-    if (it != rows_.end())
-        return it->second;
-    std::size_t arena_idx = 0;
-    for (; arena_idx < arenas_.size(); ++arena_idx)
-        if (arenas_[arena_idx]->covers(s))
-            break;
-    require(arena_idx < arenas_.size(),
-            "FleetSim: no arena covers server " + std::to_string(s));
-    ArchetypeArena &arena = *arenas_[arena_idx];
-    MaterializedRow row;
-    row.server = s;
-    row.arena = arena_idx;
-    row.model = arena.cloneBaseline();
-    row.model->network().setObsLabel("fleet/srv" + std::to_string(s));
-    row.firstStep = control_steps_;
-    arena.noteMaterialized();
-    if (obs::enabled()) {
-        static obs::Counter &materialized =
-            obs::registry().counter("fleet.rows.materialized");
-        materialized.add(1);
-    }
-    return rows_.emplace(s, std::move(row)).first->second;
+    return runOf(s).materialize(s, control_steps_);
 }
 
 std::uint64_t
@@ -212,8 +306,8 @@ FleetSim::waxDigest() const
     // resumed under another (the opt engine varies exactly these
     // fields between otherwise identical fleets).
     std::uint64_t h = cache::kFnvOffsetBasis;
-    for (const auto &a : arenas_) {
-        const server::WaxConfig &wax = a->wax();
+    for (const ArchetypeRun &r : runs_) {
+        const server::WaxConfig &wax = r.arena().wax();
         h = cache::fnv1aMixU64(h, static_cast<std::uint64_t>(wax.mode));
         h = digestDouble(h, wax.liters);
         h = cache::fnv1aMixU64(h, wax.boxCount);
@@ -230,7 +324,7 @@ FleetSim::queueEventsUpTo(double t, std::size_t step)
     while (events_pos_ < events_.size() &&
            events_[events_pos_].timeS <= t) {
         const PerturbEvent &e = events_[events_pos_++];
-        materialize(e.server).queued.push_back({step, e.kind, e.value});
+        runOf(e.server).queueNext(step, control_steps_);
         ++events_applied_;
         if (obs::enabled()) {
             static obs::Counter &applied =
@@ -246,50 +340,22 @@ FleetSim::queueEventsUpTo(double t, std::size_t step)
 }
 
 void
-FleetSim::sampleBaselines(const SliceStep &s)
+FleetSim::stepBaselines(const SliceStep &s)
 {
-    for (std::size_t i = 0; i < arenas_.size(); ++i) {
-        ArchetypeArena &arena = *arenas_[i];
-        server::ServerModel &b = arena.baseline();
-        b.setLoad(std::clamp(s.u * weights_[i], 0.0, 1.0));
-        b.network().setObsClock(s.t);
-        slice_base_out_.push_back(readOut(b));
-        slice_aliased_.push_back(arena.aliasedCount());
+    for (ArchetypeRun &r : runs_) {
+        r.sampleBaseline(s);
+        if (s.dt > 0.0)
+            r.advanceBaseline(s.dt, cfg_.thermalStepS);
     }
-}
-
-RowReadout
-FleetSim::setRow(MaterializedRow &row, double u, double t) const
-{
-    const ArchetypeArena &arena = *arenas_[row.arena];
-    double util = std::clamp(
-        u * weights_[row.arena] + row.pert.utilDelta, 0.0, 1.0);
-    double freq = row.pert.fanPinned ? arena.spec().cpu.minFreqGHz : 0.0;
-    server::ServerModel &m = *row.model;
-    m.setLoad(util, freq);
-    m.network().setInletTemp(inletTempC + row.pert.inletDeltaC);
-    m.network().setObsClock(t);
-    return readOut(m);
-}
-
-std::size_t
-FleetSim::firstSliceStep(const MaterializedRow &row) const
-{
-    return row.firstStep > slice_first_step_
-        ? static_cast<std::size_t>(row.firstStep - slice_first_step_)
-        : 0;
 }
 
 void
 FleetSim::stepRows()
 {
-    if (rows_.empty())
+    if (materializedCount() == 0)
         return;
-    // Shards own contiguous server ranges; rows are looked up in the
-    // ordered map, which no task mutates while the region runs, and
-    // each task touches only its own rows.  A row runs its whole
-    // slice before the shard moves on to the next row.
-    const std::size_t samples = slice_.size();
+    // Shards own contiguous server ranges, which may span two arenas;
+    // each task touches only the rows of its own range.
     std::uint32_t n = static_cast<std::uint32_t>(server_count_);
     std::uint32_t chunk = static_cast<std::uint32_t>(
         (server_count_ + shard_count_ - 1) / shard_count_);
@@ -298,26 +364,8 @@ FleetSim::stepRows()
         std::uint32_t hi = std::min(n, lo + chunk);
         if (lo >= hi)
             return;
-        for (auto itr = rows_.lower_bound(lo);
-             itr != rows_.end() && itr->first < hi; ++itr) {
-            MaterializedRow &row = itr->second;
-            // The buffer lives as long as the row: size it once, with
-            // room for the horizon sample, so the last slice does not
-            // reallocate every row.
-            if (row.out.capacity() < samples)
-                row.out.reserve(samples + 1);
-            row.out.resize(samples);
-            auto q = row.queued.cbegin();
-            for (std::size_t j = firstSliceStep(row); j < samples; ++j) {
-                const SliceStep &s = slice_[j];
-                for (; q != row.queued.cend() && q->step == j; ++q)
-                    row.pert.apply(q->kind, q->value);
-                row.out[j] = setRow(row, s.u, s.t);
-                if (s.dt > 0.0)
-                    row.model->advance(s.dt, cfg_.thermalStepS);
-            }
-            row.queued.clear();
-        }
+        for (ArchetypeRun &r : runs_)
+            r.stepRows(lo, hi, slice_, cfg_.thermalStepS);
     });
 }
 
@@ -326,47 +374,11 @@ FleetSim::fold()
 {
     // Canonical aggregation order for every sample - arena-major,
     // then rows in server order - so the sums are bit-identical at
-    // any thread count, shard width and slice length (the aliased
-    // contribution is one multiply, which only depends on the
-    // width-invariant materialization pattern).  Each sample has its
-    // own accumulator, so walking the rows once per slice adds into
-    // each sample in exactly that order.
+    // any thread count, shard width and slice length.
     const std::size_t samples = slice_.size();
-    const std::size_t arenas = arenas_.size();
     slice_sums_.assign(samples, SampleSums{});
-    for (std::size_t i = 0; i < arenas; ++i) {
-        const ArchetypeArena &arena = *arenas_[i];
-        // Rows carry their arena's (spec, wax), like the baseline.
-        bool wax = arena.baseline().hasWax();
-        for (std::size_t j = 0; j < samples; ++j) {
-            const RowReadout &b = slice_base_out_[j * arenas + i];
-            double aliased =
-                static_cast<double>(slice_aliased_[j * arenas + i]);
-            SampleSums &sum = slice_sums_[j];
-            sum.cooling += aliased * b.coolingW;
-            sum.itPower += aliased * b.wallW;
-            if (wax) {
-                sum.melt += aliased * b.meltFraction;
-                sum.waxServers += aliased;
-            }
-        }
-        std::uint32_t lo = arena.firstServer();
-        std::uint32_t hi = lo + arena.count();
-        for (auto itr = rows_.lower_bound(lo);
-             itr != rows_.end() && itr->first < hi; ++itr) {
-            const MaterializedRow &row = itr->second;
-            for (std::size_t j = firstSliceStep(row); j < samples; ++j) {
-                const RowReadout &r = row.out[j];
-                SampleSums &sum = slice_sums_[j];
-                sum.cooling += r.coolingW;
-                sum.itPower += r.wallW;
-                if (wax) {
-                    sum.melt += r.meltFraction;
-                    sum.waxServers += 1.0;
-                }
-            }
-        }
-    }
+    for (const ArchetypeRun &r : runs_)
+        r.fold(slice_sums_);
     for (std::size_t j = 0; j < samples; ++j) {
         const SliceStep &s = slice_[j];
         const SampleSums &sum = slice_sums_[j];
@@ -377,11 +389,10 @@ FleetSim::fold()
                                   ? sum.melt / sum.waxServers
                                   : 0.0);
         }
-        peak_cooling_w_ = std::max(peak_cooling_w_, sum.cooling);
+        accumulateCooling(sum.cooling, s.dt, peak_cooling_w_,
+                          cooling_energy_j_);
         peak_it_w_ = std::max(peak_it_w_, sum.itPower);
         last_cooling_w_ = sum.cooling;
-        if (s.dt > 0.0)
-            cooling_energy_j_ += sum.cooling * s.dt;
     }
 }
 
@@ -390,65 +401,55 @@ FleetSim::advanceSlice(double sliceS)
 {
     require(!done_, "FleetSim::step: run already finished");
     slice_.clear();
-    slice_base_out_.clear();
-    slice_aliased_.clear();
-    slice_first_step_ = control_steps_;
+    for (ArchetypeRun &r : runs_)
+        r.beginSlice(control_steps_);
     // Serial pass: the events and baselines of every step of the
     // slice.  Baselines are a handful of rows; serial keeps their
     // obs streams on the main task and costs nothing next to the
     // fleet.
     double moved = 0.0;
     for (;;) {
-        SliceStep s;
-        s.t = t_;
-        s.u = utilAt(t_);
-        s.dt = std::min(cfg_.controlIntervalS, cfg_.durationS - t_);
+        const SliceStep s = clock_.stepFrom(t_);
         {
             obs::Scope scope("fleet.step.events");
             queueEventsUpTo(s.t, slice_.size());
         }
         {
             obs::Scope scope("fleet.step.baselines");
-            sampleBaselines(s);
-            for (auto &arena : arenas_)
-                arena->baseline().advance(s.dt, cfg_.thermalStepS);
+            stepBaselines(s);
         }
         slice_.push_back(s);
+        if (s.dt == 0.0) {
+            // The horizon sample: due events and a read-out of every
+            // model, but nothing advances.
+            done_ = true;
+            break;
+        }
         moved += s.dt;
-        t_ += s.dt;
+        t_ = clock_.after(s.t, s.dt);
         ++control_steps_;
         std::uint64_t inner = static_cast<std::uint64_t>(
             std::ceil(s.dt / cfg_.thermalStepS - 1e-9));
         if (inner == 0)
             inner = 1;
+        const std::size_t rows = materializedCount();
         server_steps_ +=
             static_cast<std::uint64_t>(server_count_) * inner;
-        row_steps_ += static_cast<std::uint64_t>(arenas_.size() +
-                                                 rows_.size()) *
-            inner;
+        row_steps_ +=
+            static_cast<std::uint64_t>(runs_.size() + rows) * inner;
         if (obs::enabled()) {
             static obs::Counter &steps =
                 obs::registry().counter("fleet.control_steps");
             steps.add(1);
             static obs::Gauge &materialized =
                 obs::registry().gauge("fleet.rows.live");
-            materialized.set(static_cast<double>(rows_.size()));
+            materialized.set(static_cast<double>(rows));
         }
-        if (t_ >= cfg_.durationS - 1e-9) {
-            // The horizon sample: due events and a read-out of every
-            // model, but nothing advances (dt 0).
-            t_ = cfg_.durationS;
-            SliceStep h;
-            h.t = t_;
-            h.u = utilAt(t_);
-            queueEventsUpTo(h.t, slice_.size());
-            sampleBaselines(h);
-            slice_.push_back(h);
-            done_ = true;
-            break;
-        }
-        // The slice ends once it covers sliceS, or on the step where
+        // The horizon sample joins the slice of the last step.  The
+        // slice ends once it covers sliceS, or on the step where
         // runResumable pauses run(): it tests this same sum.
+        if (clock_.atHorizon(t_))
+            continue;
         if (moved >= sliceS ||
             (stop_after_s_ >= 0.0 &&
              run_advanced_s_ + moved >= stop_after_s_))
@@ -464,7 +465,7 @@ FleetSim::advanceSlice(double sliceS)
     }
     if (done_)
         TTS_OBS_EVENT(obs::EventKind::PhaseEnd, t_, "fleet.run",
-                      static_cast<double>(rows_.size()), -1);
+                      static_cast<double>(materializedCount()), -1);
     return moved;
 }
 
@@ -477,17 +478,22 @@ FleetSim::step()
 const server::ServerModel &
 FleetSim::serverView(std::uint32_t s) const
 {
-    auto it = rows_.find(s);
-    if (it != rows_.end())
+    const ArchetypeRun &r = runOf(s);
+    auto it = r.rows().find(s);
+    if (it != r.rows().end())
         return *it->second.model;
-    return arenaOf(s).baseline();
+    return r.arena().baseline();
 }
 
 RowPerturbState
 FleetSim::serverPerturbState(std::uint32_t s) const
 {
-    auto it = rows_.find(s);
-    return it != rows_.end() ? it->second.pert : RowPerturbState{};
+    for (const ArchetypeRun &r : runs_) {
+        auto it = r.rows().find(s);
+        if (it != r.rows().end())
+            return it->second.pert;
+    }
+    return RowPerturbState{};
 }
 
 std::uint64_t
@@ -524,7 +530,7 @@ FleetSim::save(guard::CheckpointWriter &w) const
 {
     w.section("fleet");
     w.putU64("server_count", server_count_);
-    w.putU64("arena_count", arenas_.size());
+    w.putU64("arena_count", runs_.size());
     w.putU64("seed", cfg_.seed);
     w.putBool("dedupe", cfg_.dedupe);
     w.putU64("placement", static_cast<std::uint64_t>(cfg_.placement));
@@ -547,26 +553,30 @@ FleetSim::save(guard::CheckpointWriter &w) const
     w.putSeries("cooling", cooling_w_);
     w.putSeries("it", it_w_);
     w.putSeries("melt", melt_);
-    for (std::size_t i = 0; i < arenas_.size(); ++i) {
-        const ArchetypeArena &a = *arenas_[i];
+    for (std::size_t i = 0; i < runs_.size(); ++i) {
+        const ArchetypeArena &a = runs_[i].arena();
         w.section("arena." + std::to_string(i));
         w.putU64("first", a.firstServer());
         w.putU64("count", a.count());
         w.putU64("materialized", a.materializedCount());
         saveModel(w, "base", a.baseline());
     }
+    // Arenas are contiguous in server order, so run by run is the
+    // canonical server order.
     w.section("rows");
-    w.putU64("count", rows_.size());
+    w.putU64("count", materializedCount());
     std::size_t k = 0;
-    for (const auto &kv : rows_) {
-        const MaterializedRow &row = kv.second;
-        w.section("row." + std::to_string(k++));
-        w.putU64("server", row.server);
-        w.putU64("arena", row.arena);
-        w.put("util_delta", row.pert.utilDelta);
-        w.put("inlet_delta", row.pert.inletDeltaC);
-        w.putBool("fan_pinned", row.pert.fanPinned);
-        saveModel(w, "m", *row.model);
+    for (const ArchetypeRun &r : runs_) {
+        for (const auto &kv : r.rows()) {
+            const MaterializedRow &row = kv.second;
+            w.section("row." + std::to_string(k++));
+            w.putU64("server", row.server);
+            w.putU64("arena", row.arena);
+            w.put("util_delta", row.pert.utilDelta);
+            w.put("inlet_delta", row.pert.inletDeltaC);
+            w.putBool("fan_pinned", row.pert.fanPinned);
+            saveModel(w, "m", *row.model);
+        }
     }
 }
 
@@ -576,7 +586,7 @@ FleetSim::restore(guard::CheckpointReader &r)
     r.expectSection("fleet");
     require(r.expectU64("server_count") == server_count_,
             "fleet checkpoint: server count mismatch");
-    require(r.expectU64("arena_count") == arenas_.size(),
+    require(r.expectU64("arena_count") == runs_.size(),
             "fleet checkpoint: arena count mismatch");
     require(r.expectU64("seed") == cfg_.seed,
             "fleet checkpoint: seed mismatch");
@@ -595,6 +605,8 @@ FleetSim::restore(guard::CheckpointReader &r)
     t_ = r.expect("t");
     control_steps_ = r.expectU64("control_steps");
     events_pos_ = r.expectU64("events_pos");
+    require(events_pos_ <= events_.size(),
+            "fleet checkpoint: event cursor past the schedule");
     events_applied_ = r.expectU64("events_applied");
     server_steps_ = r.expectU64("server_steps");
     row_steps_ = r.expectU64("row_steps");
@@ -606,8 +618,8 @@ FleetSim::restore(guard::CheckpointReader &r)
     cooling_w_ = r.expectSeries("cooling", "fleet_cooling_w");
     it_w_ = r.expectSeries("it", "fleet_it_w");
     melt_ = r.expectSeries("melt", "fleet_melt_fraction");
-    for (std::size_t i = 0; i < arenas_.size(); ++i) {
-        ArchetypeArena &a = *arenas_[i];
+    for (std::size_t i = 0; i < runs_.size(); ++i) {
+        ArchetypeArena &a = runs_[i].arena();
         r.expectSection("arena." + std::to_string(i));
         require(r.expectU64("first") == a.firstServer() &&
                     r.expectU64("count") == a.count(),
@@ -618,33 +630,37 @@ FleetSim::restore(guard::CheckpointReader &r)
     }
     r.expectSection("rows");
     std::uint64_t count = r.expectU64("count");
-    rows_.clear();
+    for (ArchetypeRun &run : runs_)
+        run.clearRows();
     for (std::uint64_t k = 0; k < count; ++k) {
         r.expectSection("row." + std::to_string(k));
-        MaterializedRow row;
-        row.server =
+        std::uint32_t server =
             static_cast<std::uint32_t>(r.expectU64("server"));
-        row.arena = static_cast<std::size_t>(r.expectU64("arena"));
-        require(row.arena < arenas_.size() &&
-                    arenas_[row.arena]->covers(row.server),
+        std::uint64_t arena = r.expectU64("arena");
+        require(arena < runs_.size() &&
+                    runs_[arena].arena().covers(server) &&
+                    runs_[arena].rows().count(server) == 0,
                 "fleet checkpoint: row outside its arena");
-        row.pert.utilDelta = r.expect("util_delta");
-        row.pert.inletDeltaC = r.expect("inlet_delta");
-        row.pert.fanPinned = r.expectBool("fan_pinned");
-        const ArchetypeArena &arena = *arenas_[row.arena];
-        row.model = std::make_unique<server::ServerModel>(
-            arena.spec(), arena.wax());
-        row.model->network().setObsLabel(
-            "fleet/srv" + std::to_string(row.server));
-        restoreModel(r, "m", *row.model);
-        std::uint32_t server = row.server;
-        rows_.emplace(server, std::move(row));
+        RowPerturbState pert;
+        pert.utilDelta = r.expect("util_delta");
+        pert.inletDeltaC = r.expect("inlet_delta");
+        pert.fanPinned = r.expectBool("fan_pinned");
+        restoreModel(r, "m",
+                     *runs_[arena].restoreRow(server, pert).model);
     }
     std::uint64_t materialized = 0;
-    for (const auto &a : arenas_)
-        materialized += a->materializedCount();
-    require(materialized == rows_.size(),
+    for (const ArchetypeRun &run : runs_)
+        materialized += run.arena().materializedCount();
+    require(materialized == materializedCount(),
             "fleet checkpoint: materialized-count mismatch");
+    // Each run's cursor: its events among the first events_pos_.
+    for (ArchetypeRun &run : runs_) {
+        const ArchetypeArena &a = run.arena();
+        run.setEventsQueued(static_cast<std::size_t>(std::count_if(
+            events_.begin(),
+            events_.begin() + static_cast<std::ptrdiff_t>(events_pos_),
+            [&](const PerturbEvent &e) { return a.covers(e.server); })));
+    }
     done_ = t_ >= cfg_.durationS;
 }
 
@@ -683,7 +699,7 @@ FleetSim::take()
     out.coolingEnergyJ = cooling_energy_j_;
     out.serverSteps = server_steps_;
     out.rowSteps = row_steps_;
-    out.materializedRows = rows_.size();
+    out.materializedRows = materializedCount();
     out.eventsApplied = events_applied_;
     out.serverCount = server_count_;
     return out;

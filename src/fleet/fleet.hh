@@ -15,17 +15,20 @@
  * fleet/perturbation.hh) lazily materialize private rows the moment
  * they diverge.
  *
- * The fleet advances a checkpoint slice at a time (15 control steps
- * of 60 s in a 900 s slice).  A serial pass walks the slice step by
- * step: it queues each due event on its row (cloning a new row from
- * the baseline as it stands at that step) and sets, reads out and
- * advances the arena baselines.  Then one shard region on the
- * deterministic exec::ThreadPool steps every materialized row of a
- * shard's server range through the whole slice - applying its queued
- * events as their steps come up and storing one read-out (cooling,
- * wall power, melt fraction) per step - and a serial fold sums each
- * step's read-outs.  Rows never interact between events, so one
- * region per slice does the same arithmetic as one per step.  All
+ * Each arena is stepped through its ArchetypeRun
+ * (fleet/archetype_run.hh), which owns the arena's baseline, rows and
+ * share of the events.  The fleet advances a checkpoint slice at a
+ * time (15 control steps of 60 s in a 900 s slice).  A serial pass
+ * walks the slice step by step: it queues each due event on its row
+ * (cloning a new row from the baseline as it stands at that step) and
+ * sets, reads out and advances the arena baselines.  Then one shard
+ * region on the deterministic exec::ThreadPool steps every
+ * materialized row of a shard's server range through the whole slice
+ * - applying its queued events as their steps come up and storing one
+ * read-out (cooling, wall power, melt fraction) per step - and a
+ * serial fold sums each step's read-outs, run by run.  Rows never
+ * interact between events, so one region per slice does the same
+ * arithmetic as one per step.  All
  * randomness is drawn from per-server Rng::forStream sub-streams
  * before stepping begins and the fold runs in canonical (arena,
  * server) order, so the entire run - series, peaks, digests - is
@@ -40,13 +43,12 @@
 #ifndef TTS_FLEET_FLEET_HH
 #define TTS_FLEET_FLEET_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "core/run_config.hh"
-#include "fleet/arena.hh"
+#include "fleet/archetype_run.hh"
 #include "fleet/perturbation.hh"
 #include "guard/resume.hh"
 #include "server/server_spec.hh"
@@ -178,6 +180,124 @@ struct FleetResult
 };
 
 /**
+ * The control clock of a fleet run: the utilization at each sample
+ * and each step's length.  FleetSim and a lone ArchetypeRun take
+ * their steps from it, so both walk the same sample times.
+ */
+class ControlClock
+{
+  public:
+    /**
+     * @param trace Load trace (empty: flat); must outlive the clock.
+     * @throws FatalError on a non-positive horizon or step size.
+     */
+    ControlClock(const FleetConfig &cfg,
+                 const workload::WorkloadTrace &trace);
+
+    /** @return Utilization at t (the trace, or the flat run value). */
+    double utilAt(double t) const;
+
+    /** @return True once t has reached the horizon. */
+    bool atHorizon(double t) const { return t >= duration_s_ - 1e-9; }
+
+    /**
+     * @return The length of the step from t: a control interval or
+     * the time left, whichever is shorter; 0 (the horizon sample) once
+     * t has reached the horizon.
+     */
+    double stepLength(double t) const
+    {
+        return atHorizon(t) ? 0.0 : std::min(control_s_, duration_s_ - t);
+    }
+
+    /** @return The step from t, with the utilization at its sample. */
+    SliceStep stepFrom(double t) const;
+
+    /** @return The time after a step of @p dt from t, snapped to the
+     *  horizon once it reaches it. */
+    double after(double t, double dt) const;
+
+    /** @return Samples in a whole run, the horizon sample included. */
+    std::size_t sampleCount() const;
+
+  private:
+    double duration_s_;
+    double control_s_;
+    double flat_util_;
+    const workload::WorkloadTrace *trace_;
+};
+
+/** One platform slot: its platform, servers and share of the events. */
+struct FleetSlot
+{
+    server::ServerSpec spec;
+    /** First global server index. */
+    std::uint32_t first = 0;
+    /** Servers in the slot (0 when the fleet is too small to fill it). */
+    std::uint32_t count = 0;
+    /** The schedule's events aimed at the slot, in schedule order. */
+    std::vector<PerturbEvent> events;
+};
+
+/** Where a fleet's servers sit and what happens to them. */
+struct FleetLayout
+{
+    /** The single platform, or {1U, 2U, OCP} under mixedPlatforms. */
+    std::vector<FleetSlot> slots;
+    /** The whole perturbation schedule, sorted. */
+    std::vector<PerturbEvent> events;
+};
+
+/**
+ * @return The layout of @p cfg's fleet: slot counts by
+ * platformCounts, the generated schedule plus cfg.extraEvents.
+ * @param spec Platform of the single slot (unless mixedPlatforms).
+ * @throws FatalError when an extra event targets no server.
+ */
+FleetLayout layoutFleet(const server::ServerSpec &spec,
+                        const FleetConfig &cfg);
+
+/**
+ * @return What a placement policy weighs about @p count servers
+ * built like @p model.
+ */
+workload::ArchetypeLoadTraits loadTraits(const server::ServerModel &model,
+                                         std::size_t count);
+
+/**
+ * Fold one fleet sample into a run's peak and integrated cooling, in
+ * time order: FleetSim and the opt oracle share this arithmetic.
+ */
+inline void
+accumulateCooling(double cooling_w, double dt, double &peak_w,
+                  double &energy_j)
+{
+    peak_w = peak_w < cooling_w ? cooling_w : peak_w;
+    if (dt > 0.0)
+        energy_j += cooling_w * dt;
+}
+
+/**
+ * Run one slot of a fleet alone over the whole horizon and record its
+ * cooling terms: the same ArchetypeRun steps FleetSim takes, at the
+ * same sample times (@p clock), in short slices on the calling
+ * thread.  Folding the trajectories of every slot in slot order
+ * (addCooling) gives FleetSim's cooling sums bit for bit.
+ *
+ * @param cfg    Fleet configuration (thermalStepS, dedupe).
+ * @param clock  The fleet's control clock.
+ * @param slot   The slot (count >= 1) with its share of the events.
+ * @param wax    The slot's wax deployment.
+ * @param weight The slot's placement weight.
+ * @param out    Empty, or with its first column reserved by the
+ *               caller: a pool worker then fills memory the caller's
+ *               thread allocated and will free.
+ */
+void runArchetype(const FleetConfig &cfg, const ControlClock &clock,
+                  const FleetSlot &slot, const server::WaxConfig &wax,
+                  double weight, CoolingTrajectory &out);
+
+/**
  * The sharded fleet simulator: a guard::Resumable step machine.
  * Construct, then either run(policy) to completion / pause, or drive
  * step() directly (tests).
@@ -246,26 +366,14 @@ class FleetSim : public guard::Resumable
     /** @return Resolved shard count. */
     std::size_t shardCount() const { return shard_count_; }
 
-    /** @return The arenas (one per platform archetype). */
-    const std::vector<std::unique_ptr<ArchetypeArena>> &arenas() const
-    {
-        return arenas_;
-    }
-
-    /** @return Per-arena utilization weights (cfg.placement). */
-    const std::vector<double> &placementWeights() const
-    {
-        return weights_;
-    }
+    /** @return One run per non-empty platform slot, in server order. */
+    const std::vector<ArchetypeRun> &runs() const { return runs_; }
 
     /** @return Materialized rows across all arenas. */
-    std::size_t materializedCount() const { return rows_.size(); }
+    std::size_t materializedCount() const;
 
     /** @return True when server s has a private row. */
-    bool isMaterialized(std::uint32_t s) const
-    {
-        return rows_.find(s) != rows_.end();
-    }
+    bool isMaterialized(std::uint32_t s) const;
 
     /**
      * @return The model whose state server s currently carries: its
@@ -312,35 +420,12 @@ class FleetSim : public guard::Resumable
     void restore(guard::CheckpointReader &r) override;
 
   private:
-    /** One control step of the current slice, or its horizon sample. */
-    struct SliceStep
-    {
-        /** Simulated time of the step's sample (s). */
-        double t = 0.0;
-        /** Fleet utilization at t. */
-        double u = 0.0;
-        /** Seconds the step advances; 0 for the horizon sample. */
-        double dt = 0.0;
-    };
-
-    /** One sample's sums, accumulated in canonical order. */
-    struct SampleSums
-    {
-        double cooling = 0.0;
-        double itPower = 0.0;
-        double melt = 0.0;
-        double waxServers = 0.0;
-    };
-
-    /** Utilization at time t (trace, or the flat run value). */
-    double utilAt(double t) const;
-
     /** Canonical digest of every arena's wax deployment. */
     std::uint64_t waxDigest() const;
 
-    /** Arena covering global server s. */
-    ArchetypeArena &arenaOf(std::uint32_t s);
-    const ArchetypeArena &arenaOf(std::uint32_t s) const;
+    /** Run whose arena covers global server s. */
+    ArchetypeRun &runOf(std::uint32_t s);
+    const ArchetypeRun &runOf(std::uint32_t s) const;
 
     /**
      * Materialize server s (no-op when already materialized), cloning
@@ -357,32 +442,23 @@ class FleetSim : public guard::Resumable
 
     /**
      * Queue every pending event with timeS <= t on its row at slice
-     * step @p step, materializing rows as they are first hit.
+     * step @p step, materializing rows as they are first hit.  The
+     * global cursor walks the schedule in order; each event goes to
+     * the run of its server, which holds the same events in the same
+     * order.
      */
     void queueEventsUpTo(double t, std::size_t step);
 
     /**
-     * Set each arena baseline's operating point for step s and
-     * append its read-out and aliased row count to the slice's
-     * buffers; serial, on the calling task.
+     * Set, read out and advance every arena baseline for step s;
+     * serial, on the calling task.
      */
-    void sampleBaselines(const SliceStep &s);
-
-    /**
-     * Set one row's load, inlet and obs clock for utilization u at
-     * time t.  Touches nothing but the row, so shard tasks call it
-     * concurrently on disjoint rows.  @return The row's read-out.
-     */
-    RowReadout setRow(MaterializedRow &row, double u, double t) const;
-
-    /** @return The slice step from which @p row is stepped. */
-    std::size_t firstSliceStep(const MaterializedRow &row) const;
+    void stepBaselines(const SliceStep &s);
 
     /**
      * The slice's one shard region: each shard steps the materialized
-     * rows of its server range from their first slice step to the
-     * slice's end - applying queued events, setting the row (setRow),
-     * storing its read-out and advancing it.  Opens no region when no
+     * rows of its server range (ArchetypeRun::stepRows) from their
+     * first slice step to the slice's end.  Opens no region when no
      * row is materialized.
      */
     void stepRows();
@@ -390,20 +466,16 @@ class FleetSim : public guard::Resumable
     /**
      * Fold the slice's stored read-outs into one aggregate sample per
      * step: the only serial pass over rows, each sample summed in
-     * canonical order (arena by arena: the aliased baseline
-     * contribution, then the arena's rows in server order).
+     * canonical order (ArchetypeRun::fold, arena by arena).
      */
     void fold();
 
     FleetConfig cfg_;
     workload::WorkloadTrace trace_;
+    ControlClock clock_;
     std::size_t server_count_;
     std::size_t shard_count_;
-    std::vector<std::unique_ptr<ArchetypeArena>> arenas_;
-    /** Per-arena utilization weights from cfg.placement. */
-    std::vector<double> weights_;
-    /** Materialized rows keyed by server id (canonical order). */
-    std::map<std::uint32_t, MaterializedRow> rows_;
+    std::vector<ArchetypeRun> runs_;
     std::vector<PerturbEvent> events_;
     std::size_t events_pos_ = 0;
     std::size_t events_applied_ = 0;
@@ -425,12 +497,6 @@ class FleetSim : public guard::Resumable
     // Slice buffers, reused from slice to slice.
     /** The slice's steps; the horizon sample, when taken, is last. */
     std::vector<SliceStep> slice_;
-    /** control_steps_ when the slice began. */
-    std::uint64_t slice_first_step_ = 0;
-    /** Baseline read-outs, [step * arenas + arena]. */
-    std::vector<RowReadout> slice_base_out_;
-    /** Rows aliasing each baseline, same layout. */
-    std::vector<std::uint32_t> slice_aliased_;
     /** One sum per step. */
     std::vector<SampleSums> slice_sums_;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -33,6 +34,31 @@ formatDouble(double v)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
+}
+
+/**
+ * Parse @p word whole as an unsigned decimal: no sign, no junk, no
+ * overflow.  @return False when it is anything else.
+ */
+bool
+parseU64(const std::string &word, std::uint64_t &out)
+{
+    const char *end = word.data() + word.size();
+    auto [ptr, ec] = std::from_chars(word.data(), end, out);
+    return !word.empty() && ec == std::errc() && ptr == end;
+}
+
+/** Parse @p word whole as a double.  @return False on anything else. */
+bool
+parseDouble(const std::string &word, double &out)
+{
+    try {
+        std::size_t used = 0;
+        out = std::stod(word, &used);
+        return used == word.size();
+    } catch (const std::exception &) {
+        return false;
+    }
 }
 
 } // namespace
@@ -219,36 +245,22 @@ double
 CheckpointReader::expect(const std::string &key)
 {
     std::string value = takeValue(key);
-    try {
-        std::size_t used = 0;
-        double v = std::stod(value, &used);
-        require(used == value.size(),
-                origin_ + ": trailing junk in value for '" + key + "'");
-        return v;
-    } catch (const Error &) {
-        throw;
-    } catch (const std::exception &) {
+    double v = 0.0;
+    if (!parseDouble(value, v))
         fatal(origin_ + ": bad double for key '" + key + "': '" + value +
               "'");
-    }
+    return v;
 }
 
 std::uint64_t
 CheckpointReader::expectU64(const std::string &key)
 {
     std::string value = takeValue(key);
-    try {
-        std::size_t used = 0;
-        std::uint64_t v = std::stoull(value, &used);
-        require(used == value.size(),
-                origin_ + ": trailing junk in value for '" + key + "'");
-        return v;
-    } catch (const Error &) {
-        throw;
-    } catch (const std::exception &) {
+    std::uint64_t v = 0;
+    if (!parseU64(value, v))
         fatal(origin_ + ": bad u64 for key '" + key + "': '" + value +
               "'");
-    }
+    return v;
 }
 
 std::int64_t
@@ -286,54 +298,44 @@ CheckpointReader::expectToken(const std::string &key)
     return takeValue(key);
 }
 
+template <typename T, typename Parse>
+std::vector<T>
+CheckpointReader::expectWords(const std::string &key, const char *type,
+                              Parse parse)
+{
+    std::istringstream in(takeValue(key));
+    std::string word;
+    std::uint64_t n = 0;
+    if (!(in >> word) || !parseU64(word, n))
+        fatal(origin_ + ": bad vector length for key '" + key + "': '" +
+              word + "'");
+    // The stated length only bounds the loop: the words on the line
+    // size the vector, so a lying length allocates nothing.
+    std::vector<T> out;
+    while (in >> word) {
+        if (out.size() == n)
+            fatal(origin_ + ": vector '" + key + "' longer than stated");
+        T v{};
+        if (!parse(word, v))
+            fatal(origin_ + ": bad " + type + " in vector '" + key +
+                  "': '" + word + "'");
+        out.push_back(v);
+    }
+    if (out.size() != n)
+        fatal(origin_ + ": vector '" + key + "' shorter than stated");
+    return out;
+}
+
 std::vector<double>
 CheckpointReader::expectVector(const std::string &key)
 {
-    std::istringstream in(takeValue(key));
-    std::size_t n = 0;
-    if (!(in >> n))
-        fatal(origin_ + ": bad vector length for key '" + key + "'");
-    std::vector<double> out;
-    out.reserve(n);
-    std::string word;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!(in >> word))
-            fatal(origin_ + ": vector '" + key + "' shorter than stated");
-        try {
-            out.push_back(std::stod(word));
-        } catch (const std::exception &) {
-            fatal(origin_ + ": bad double in vector '" + key + "': '" +
-                  word + "'");
-        }
-    }
-    if (in >> word)
-        fatal(origin_ + ": vector '" + key + "' longer than stated");
-    return out;
+    return expectWords<double>(key, "double", parseDouble);
 }
 
 std::vector<std::uint64_t>
 CheckpointReader::expectU64Vector(const std::string &key)
 {
-    std::istringstream in(takeValue(key));
-    std::size_t n = 0;
-    if (!(in >> n))
-        fatal(origin_ + ": bad vector length for key '" + key + "'");
-    std::vector<std::uint64_t> out;
-    out.reserve(n);
-    std::string word;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!(in >> word))
-            fatal(origin_ + ": vector '" + key + "' shorter than stated");
-        try {
-            out.push_back(std::stoull(word));
-        } catch (const std::exception &) {
-            fatal(origin_ + ": bad u64 in vector '" + key + "': '" + word +
-                  "'");
-        }
-    }
-    if (in >> word)
-        fatal(origin_ + ": vector '" + key + "' longer than stated");
-    return out;
+    return expectWords<std::uint64_t>(key, "u64", parseU64);
 }
 
 TimeSeries

@@ -147,6 +147,15 @@ class CheckpointReader
   private:
     std::string takeValue(const std::string &key);
 
+    /**
+     * Consume "<key> = <n> w0 w1 ..." and parse each word whole with
+     * @p parse; FatalError naming the key on a bad length or word, or
+     * when the line holds more or fewer than n words.
+     */
+    template <typename T, typename Parse>
+    std::vector<T> expectWords(const std::string &key, const char *type,
+                               Parse parse);
+
     std::vector<std::string> lines_;
     std::size_t pos_ = 0;
     std::string origin_;

@@ -2,10 +2,25 @@
  * @file
  * tts::opt - seeded wax-placement search over the fleet oracle.
  *
- * Multi-start simulated annealing over the SearchSpace, with
- * fleet::FleetSim as the cost oracle (peak cooling load or
- * annualized TCO) and an LRU memo keyed by the canonical candidate
- * fingerprint so revisited neighbors are free.
+ * Multi-start simulated annealing over the SearchSpace, with the
+ * fleet simulation as the cost oracle (peak cooling load or
+ * annualized TCO) and two memos:
+ *
+ *  - an LRU memo keyed by the canonical candidate fingerprint, so
+ *    revisited neighbors are free;
+ *  - under it, a small trajectory memo of archetype runs.  A fleet
+ *    is a fold over independent archetype runs (fleet/archetype_run.hh),
+ *    and a run depends only on its platform slot, its wax and its
+ *    load weight, so a candidate-memo miss that shares a slot's
+ *    (wax, weight) with a recent candidate reuses that run's cooling
+ *    trajectory instead of simulating it again.
+ *
+ * Each batch of candidate-memo misses is priced in three phases:
+ * plan (serial: each miss's per-slot keys, looked up in the
+ * trajectory memo), fan-out (only the distinct fresh archetype runs,
+ * in one exec region) and fold (each miss's trajectories
+ * summed in arena order - FleetSim's canonical order, so a priced
+ * candidate is bit for bit the FleetSim run of it).
  *
  * Determinism contract (the headline test surface):
  *
@@ -14,15 +29,15 @@
  *    any evaluation fans out.
  *  - Each iteration drafts a *batch* of proposals (and their
  *    acceptance uniforms) up front, dedupes them against the memo
- *    and within the batch, evaluates the misses through
- *    exec::parallel_map into index-keyed slots, then replays the
+ *    and within the batch, evaluates the misses' fresh archetype
+ *    runs on the exec pool into index-keyed slots, then replays the
  *    accept/reject walk serially in draft order.  The walk therefore
  *    consumes identical numbers in identical order at any thread
  *    count, and the whole search - trace, memo state, best
  *    candidate - is bit-identical at 1 and N threads.
  *  - The budget counts *logical* proposal evaluations, memo hits
  *    included, so memo-on and memo-off searches walk the same
- *    trajectory; the memo only changes how many fleet transients
+ *    trajectory; the memos only change how many archetype runs
  *    actually run.
  *
  * The returned optimum is polished by greedy descent over its full
@@ -82,7 +97,7 @@ struct OptOptions
     double coolingRate = 0.85;
     /** Proposals drafted (and evaluated together) per iteration. */
     std::size_t batchSize = 8;
-    /** Memoize candidate evaluations (LRU). */
+    /** Memoize candidate evaluations (LRU) and archetype runs. */
     bool useMemo = true;
     /** Memo capacity (entries). */
     std::size_t memoCapacity = 4096;
@@ -158,9 +173,15 @@ struct OptResult
     std::vector<OptTracePoint> trace;
     /** Logical evaluations (proposals + initials + polish). */
     std::uint64_t evaluations = 0;
-    /** Fleet transients actually run. */
+    /** Fleets priced: candidate-memo misses plus the baseline. */
     std::uint64_t oracleCalls = 0;
     std::uint64_t memoHits = 0;
+    /** Archetype runs actually simulated. */
+    std::uint64_t archRuns = 0;
+    /** Archetypes of priced fleets served without a run (trajectory
+     *  memo, or a run shared within the batch); archRuns plus this
+     *  is every non-empty slot of every priced fleet. */
+    std::uint64_t archMemoHits = 0;
     /** Greedy polish rounds taken. */
     std::size_t polishRounds = 0;
 
@@ -168,11 +189,34 @@ struct OptResult
     bool beatsBaseline() const { return bestCost < baselineCost; }
 };
 
+/** The trajectory memo's key for one platform slot of a candidate. */
+struct ArchetypeKey
+{
+    /** Platform slot (index into SearchSpace::archetypes). */
+    std::size_t slot = 0;
+    /** The slot's canonical wax coordinates. */
+    Candidate::Arch wax;
+    /** Bit pattern of the slot's placement weight. */
+    std::uint64_t weightBits = 0;
+
+    bool operator==(const ArchetypeKey &) const = default;
+};
+
 /**
- * Evaluate one candidate on the oracle (no memo, no budget); the
- * exact cost function the search minimizes - the engine calls it
- * for every memo miss.  Tests use it to verify local minimality
- * independently of the engine.
+ * @return The trajectory-memo key of every non-empty platform slot
+ * of @p c, in slot order.  Under wax-aware placement a slot's weight
+ * depends on every slot's wax, so a change to one slot's wax can
+ * change another slot's key.
+ */
+std::vector<ArchetypeKey> archetypeKeys(const SearchSpace &space,
+                                        const Candidate &c,
+                                        const OptOptions &opts);
+
+/**
+ * Evaluate one candidate on the oracle (no memo, no budget): fresh
+ * archetype runs folded exactly as the engine folds every memo miss.
+ * Tests use it to verify local minimality independently of the
+ * engine.
  */
 EvalOutcome evaluateCandidate(const SearchSpace &space,
                               const Candidate &c,

@@ -36,16 +36,47 @@ quietConfig(std::size_t servers = 48)
     return cfg;
 }
 
+/**
+ * The leverage bar of a quiet fleet: no row materialized, no event
+ * applied, and every logical server integrating through the one
+ * baseline row.
+ */
+testing::AssertionResult
+fullyAliased(const FleetResult &r)
+{
+    if (r.materializedRows != 0)
+        return testing::AssertionFailure()
+            << r.materializedRows << " rows materialized";
+    if (r.eventsApplied != 0)
+        return testing::AssertionFailure()
+            << r.eventsApplied << " events applied";
+    double want = static_cast<double>(r.serverCount);
+    if (std::abs(r.dedupeFactor() - want) > 1e-9)
+        return testing::AssertionFailure()
+            << "dedupe factor " << r.dedupeFactor() << ", want " << want;
+    return testing::AssertionSuccess();
+}
+
 TEST(FleetDedupe, QuietFleetStaysFullyAliased)
 {
     FleetSim sim(server::rd330Spec(), workload::WorkloadTrace{},
                  quietConfig());
     ASSERT_TRUE(sim.run());
     FleetResult r = sim.take();
-    EXPECT_EQ(r.materializedRows, 0u);
-    EXPECT_EQ(r.eventsApplied, 0u);
     // 48 logical servers integrate as one baseline row.
-    EXPECT_NEAR(r.dedupeFactor(), 48.0, 1e-9);
+    EXPECT_EQ(r.serverCount, 48u);
+    EXPECT_TRUE(fullyAliased(r));
+}
+
+TEST(FleetDedupe, NaiveRunFailsTheLeverageBar)
+{
+    // The bar above must be able to fail: the same quiet fleet with
+    // dedupe off integrates every server privately.
+    FleetConfig cfg = quietConfig();
+    cfg.dedupe = false;
+    FleetSim sim(server::rd330Spec(), workload::WorkloadTrace{}, cfg);
+    ASSERT_TRUE(sim.run());
+    EXPECT_FALSE(fullyAliased(sim.take()));
 }
 
 TEST(FleetDedupe, MaterializedCloneStaysBitIdenticalToBaseline)
@@ -145,14 +176,14 @@ TEST(FleetDedupe, MixedPlatformsSplitIntoArenas)
     cfg.mixedPlatforms = true;
     FleetSim sim(server::rd330Spec(), workload::WorkloadTrace{},
                  cfg);
-    ASSERT_EQ(sim.arenas().size(), 3u);
+    ASSERT_EQ(sim.runs().size(), 3u);
     // 32 = 11 + 11 + 10, contiguous and disjoint.
     std::uint32_t next = 0;
     std::uint32_t total = 0;
-    for (const auto &a : sim.arenas()) {
-        EXPECT_EQ(a->firstServer(), next);
-        next += a->count();
-        total += a->count();
+    for (const ArchetypeRun &r : sim.runs()) {
+        EXPECT_EQ(r.arena().firstServer(), next);
+        next += r.arena().count();
+        total += r.arena().count();
     }
     EXPECT_EQ(total, 32u);
     ASSERT_TRUE(sim.run());

@@ -11,10 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "exec/parallel.hh"
 #include "fleet/fleet.hh"
+#include "server/server_model.hh"
 #include "server/server_spec.hh"
 #include "workload/trace.hh"
 
@@ -59,6 +61,16 @@ expectSameSeries(const TimeSeries &a, const TimeSeries &b)
     EXPECT_EQ(a.values(), b.values());
 }
 
+/** The thread-count digest check: same end state, bit for bit. */
+testing::AssertionResult
+sameDigest(const FleetResult &a, const FleetResult &b)
+{
+    if (a.stateDigest == b.stateDigest)
+        return testing::AssertionSuccess();
+    return testing::AssertionFailure()
+        << std::hex << a.stateDigest << " != " << b.stateDigest;
+}
+
 TEST(FleetDeterminism, ThreadByShardMatrixIsBitIdentical)
 {
     const std::vector<std::size_t> threads = {1, 4, 16};
@@ -78,7 +90,7 @@ TEST(FleetDeterminism, ThreadByShardMatrixIsBitIdentical)
                 SCOPED_TRACE("threads=" + std::to_string(t) +
                              " shards=" + std::to_string(s));
                 FleetResult r = runMatrixCell(t, s, mixed);
-                EXPECT_EQ(r.stateDigest, ref.stateDigest);
+                EXPECT_TRUE(sameDigest(r, ref));
                 EXPECT_EQ(r.materializedRows, ref.materializedRows);
                 EXPECT_EQ(r.eventsApplied, ref.eventsApplied);
                 EXPECT_EQ(r.peakCoolingW, ref.peakCoolingW);
@@ -90,6 +102,38 @@ TEST(FleetDeterminism, ThreadByShardMatrixIsBitIdentical)
             }
         }
     }
+}
+
+TEST(FleetDeterminism, OneUlpRowNudgeFailsTheThreadDigestCheck)
+{
+    // The digest check above must be able to fail: nudge one
+    // materialized row's enthalpy by one ulp in the 4-thread run.
+    // The digest is an end-state oracle, so the nudge lands after the
+    // last step: the stiff thermal network damps a one-ulp difference
+    // out within 1-58 control steps, so a nudge hours before the
+    // horizon leaves the end state (and this 3 h run's series) bit for
+    // bit unchanged.
+    FleetResult ref = runMatrixCell(1, 8, true);
+
+    exec::setGlobalThreads(4);
+    FleetSim sim(server::rd330Spec(), workload::WorkloadTrace{},
+                 matrixConfig(8, true));
+    ASSERT_TRUE(sim.run());
+    const ArchetypeRun *run = nullptr;
+    for (const ArchetypeRun &r : sim.runs())
+        if (!run && !r.rows().empty())
+            run = &r;
+    ASSERT_NE(run, nullptr);
+    server::ServerModel &m = *run->rows().begin()->second.model;
+    std::vector<double> h = m.network().enthalpies();
+    h[0] = std::nextafter(h[0], HUGE_VAL);
+    m.network().setEnthalpies(h);
+    FleetResult nudged = sim.take();
+    exec::setGlobalThreads(1);
+
+    EXPECT_FALSE(sameDigest(nudged, ref));
+    // Only the nudge differs: the unnudged 4-thread run passes.
+    EXPECT_TRUE(sameDigest(runMatrixCell(4, 8, true), ref));
 }
 
 TEST(FleetDeterminism, RepeatedRunIsBitIdentical)

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "guard/checkpoint.hh"
@@ -202,17 +203,84 @@ TEST(Checkpoint, TokensMustNotContainWhitespace)
     EXPECT_THROW(w.putToken("k", "tab\tseparated"), FatalError);
 }
 
+/** @return @p body sealed with its CRC trailer: a document only the
+ *  parser can reject. */
+std::string
+sealed(const std::string &body)
+{
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%08x", crc32(body));
+    return body + "crc32 " + buf + "\n";
+}
+
+/** Expect reading key v of section s out of @p line to raise a typed
+ *  tts::Error that names the key. */
+template <typename Read>
+void
+expectRejectedByKey(const std::string &line, Read read)
+{
+    SCOPED_TRACE(line);
+    CheckpointReader r(sealed("tts-checkpoint v1\nsection s\n" + line +
+                              "\n"),
+                       "test");
+    r.expectSection("s");
+    try {
+        read(r);
+        ADD_FAILURE() << "accepted";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find("'v'"), std::string::npos)
+            << e.what();
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << "untyped " << typeid(e).name() << ": "
+                      << e.what();
+    }
+}
+
 TEST(Checkpoint, VectorLengthMismatchIsRejected)
 {
     // A vector claiming more entries than present must not read into
     // the following line.
-    std::string body =
-        "tts-checkpoint v1\nsection s\nv = 3 1.0 2.0\nnext = 9\n";
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "%08x", crc32(body));
-    CheckpointReader r(body + "crc32 " + buf + "\n", "test");
+    CheckpointReader r(
+        sealed("tts-checkpoint v1\nsection s\nv = 3 1.0 2.0\nnext = 9\n"),
+        "test");
     r.expectSection("s");
     EXPECT_THROW(r.expectVector("v"), FatalError);
+}
+
+TEST(Checkpoint, UnsignedWordsMustBeWholeAndUnsigned)
+{
+    auto u64 = [](CheckpointReader &r) { r.expectU64("v"); };
+    expectRejectedByKey("v = -1", u64);
+    expectRejectedByKey("v = +7", u64);
+    expectRejectedByKey("v = 7x", u64);
+    expectRejectedByKey("v = 18446744073709551616", u64);
+    expectRejectedByKey("v = ", u64);
+    auto vec = [](CheckpointReader &r) { r.expectU64Vector("v"); };
+    expectRejectedByKey("v = 2 3abc -1", vec);
+    expectRejectedByKey("v = 2 3 -1", vec);
+    expectRejectedByKey("v = 1 +7", vec);
+}
+
+TEST(Checkpoint, DoublesInAVectorMustBeWhole)
+{
+    expectRejectedByKey("v = 1 1.5abc",
+                        [](CheckpointReader &r) { r.expectVector("v"); });
+    expectRejectedByKey("v = 2 1.5 2.0x",
+                        [](CheckpointReader &r) { r.expectVector("v"); });
+}
+
+TEST(Checkpoint, ALyingVectorLengthIsATypedError)
+{
+    // A huge or negative length must neither allocate for it nor
+    // escape as std::bad_alloc / std::length_error.
+    for (const char *line : {"v = 1000000000000 1", "v = -1 1",
+                             "v = 18446744073709551615 1",
+                             "v = 1x 1"}) {
+        expectRejectedByKey(
+            line, [](CheckpointReader &r) { r.expectVector("v"); });
+        expectRejectedByKey(
+            line, [](CheckpointReader &r) { r.expectU64Vector("v"); });
+    }
 }
 
 TEST(Checkpoint, FileRoundTripIsAtomicAndExact)

@@ -21,7 +21,11 @@
 #    with no file to save to;
 #  - resilience --scenario=all prints all three canonical scenarios,
 #    and refuses --checkpoint (with or without --stop-after) and
-#    --resume rather than ignoring them.
+#    --resume rather than ignoring them;
+#  - a small optimize --mixed search prints the same bytes at
+#    TTS_THREADS=1 and 8, its counters included (arch_runs and
+#    arch_memo_hits: archetype runs fanned out and served by the
+#    trajectory memo).
 #
 #   tts_sim_cli_smoke.sh <path to tts_sim> <work directory>
 
@@ -122,4 +126,16 @@ expect_error "resilience --scenario=all --checkpoint" \
 [ ! -e "$dir/all.ckpt" ] || fail "--scenario=all wrote a checkpoint"
 expect_error "resilience --scenario=all --resume" \
     resilience --scenario=all --resume="$dir/c.ckpt"
+
+# The wax-placement search fans out archetype runs per batch; its
+# whole output is the same at any pool width.
+for t in 1 8; do
+    TTS_THREADS=$t "$sim" optimize --mixed --servers=12 --days=0.25 \
+        --budget=12 --restarts=2 --perturb-rate=2 > "$dir/opt$t.out" ||
+        fail "optimize at TTS_THREADS=$t exited $?"
+done
+grep -q '^# evals=.* arch_runs=[0-9]* arch_memo_hits=[0-9]* ' \
+    "$dir/opt1.out" || fail "optimize lacks the archetype-run counters"
+cmp -s "$dir/opt1.out" "$dir/opt8.out" ||
+    fail "optimize differs between TTS_THREADS=1 and 8"
 echo "PASS"

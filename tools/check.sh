@@ -23,9 +23,11 @@
 #     the pause off a slice boundary, and FleetStep.*: a slice stores
 #     one read-out per row per step in buffers indexed by slice step),
 #     the PCM enthalpy curve and element, the thermal kernel, plant
-#     kill/resume, and the untrusted-input parsers: serve frames,
-#     requests and manifests, the fault schedule, the weather trace
-#     and the trace CSV.  tts_hot_path_alloc_test stays out of both
+#     kill/resume, the wax-placement search (its folds read memoized
+#     archetype trajectories, which the memo evicts between batches),
+#     and the untrusted-input parsers: serve frames, requests and
+#     manifests, the fault schedule, the weather trace and the trace
+#     CSV.  tts_hot_path_alloc_test stays out of both
 #     sanitizer trees: it replaces operator new, which their runtimes
 #     interpose.
 #
@@ -146,7 +148,7 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j \
     --target tts_guard_test tts_util_test tts_workload_test \
     tts_pcm_test tts_thermal_test tts_fleet_test tts_plant_test \
-    tts_serve_test tts_fault_test > /dev/null
+    tts_serve_test tts_fault_test tts_opt_test > /dev/null
 
 echo "== ASan: numerical guard + checkpoint resume + state codecs =="
 ./build-asan/tests/tts_guard_test
@@ -162,6 +164,8 @@ echo "== ASan: SoA thermal kernel + airflow memo =="
 echo "== ASan: fleet checkpoint save/restore + slice stepping =="
 ./build-asan/tests/tts_fleet_test \
     --gtest_filter='FleetStep.*:FleetCheckpoint.*:-FleetCheckpoint.WarehouseResumeIsBitIdentical'
+echo "== ASan: wax-placement search (trajectory memo + folds) =="
+./build-asan/tests/tts_opt_test
 echo "== ASan: plant runner kill/resume =="
 ./build-asan/tests/tts_plant_test --gtest_filter='RunPlant.*'
 echo "== ASan: serve parsers (frame decoder, requests, manifests) =="

@@ -75,8 +75,10 @@
  * The optimize command runs the tts::opt wax-placement search: a
  * seeded multi-start annealer over per-archetype wax mass, melt
  * temperature, and box count (plus the job-placement policy under
- * --mixed), with the fleet simulator as the cost oracle and an LRU
- * memo over candidate fingerprints.  --objective picks peak cooling
+ * --mixed), with the fleet simulator as the cost oracle, an LRU
+ * memo over candidate fingerprints and, under it, a memo of archetype
+ * runs (the # evals= line counts both: memo_hits, arch_runs and
+ * arch_memo_hits).  --objective picks peak cooling
  * load (default) or annualized TCO; --min/--max/--step bound the
  * melt grid; the search is bit-identical at any thread count.
  * --sweep runs the legacy single-server melting-temperature sweep
@@ -511,10 +513,13 @@ cmdOptimize(const Options &o)
                     r.baselineCost,
                 r.beatsBaseline() ? 1 : 0);
     std::printf("# evals=%llu oracle_calls=%llu memo_hits=%llu "
-                "restarts=%zu polish_rounds=%zu\n",
+                "arch_runs=%llu arch_memo_hits=%llu restarts=%zu "
+                "polish_rounds=%zu\n",
                 static_cast<unsigned long long>(r.evaluations),
                 static_cast<unsigned long long>(r.oracleCalls),
                 static_cast<unsigned long long>(r.memoHits),
+                static_cast<unsigned long long>(r.archRuns),
+                static_cast<unsigned long long>(r.archMemoHits),
                 opts.restarts, r.polishRounds);
     return 0;
 }
