@@ -1,6 +1,8 @@
 #include "fault/fault_injector.hh"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "obs/obs.hh"
 #include "util/error.hh"
@@ -182,6 +184,16 @@ restoreBits(guard::CheckpointReader &r, const std::string &key,
         flags[i] = bits[i] != 0;
 }
 
+/** Restore a gap depth: the injector keeps it in [0, INT_MAX]. */
+int
+restoreDepth(guard::CheckpointReader &r, const std::string &key)
+{
+    const std::int64_t depth = r.expectI64(key);
+    r.check(depth >= 0 && depth <= std::numeric_limits<int>::max(), key,
+            "depth " + std::to_string(depth) + " outside [0, INT_MAX]");
+    return static_cast<int>(depth);
+}
+
 } // namespace
 
 void
@@ -220,12 +232,10 @@ FaultInjector::restore(guard::CheckpointReader &r,
     sensor_bias_c_ = r.expect(key + ".sensor_bias_c");
     sensor_valid_ = r.expectBool(key + ".sensor_valid");
     held_reading_c_ = r.expect(key + ".held_reading_c");
-    trace_gap_depth_ =
-        static_cast<int>(r.expectI64(key + ".gap_depth"));
+    trace_gap_depth_ = restoreDepth(r, key + ".gap_depth");
     pump_failed_ = r.expectBool(key + ".pump_failed");
     hx_fouling_fraction_ = r.expect(key + ".hx_fouling");
-    weather_gap_depth_ =
-        static_cast<int>(r.expectI64(key + ".weather_gap_depth"));
+    weather_gap_depth_ = restoreDepth(r, key + ".weather_gap_depth");
 }
 
 } // namespace fault

@@ -382,13 +382,11 @@ FleetSim::fold()
     for (std::size_t j = 0; j < samples; ++j) {
         const SliceStep &s = slice_[j];
         const SampleSums &sum = slice_sums_[j];
-        if (cfg_.recordSeries) {
-            cooling_w_.append(s.t, sum.cooling);
-            it_w_.append(s.t, sum.itPower);
-            melt_.append(s.t, sum.waxServers > 0.0
-                                  ? sum.melt / sum.waxServers
-                                  : 0.0);
-        }
+        cooling_w_.append(s.t, sum.cooling);
+        it_w_.append(s.t, sum.itPower);
+        melt_.append(s.t, sum.waxServers > 0.0
+                              ? sum.melt / sum.waxServers
+                              : 0.0);
         accumulateCooling(sum.cooling, s.dt, peak_cooling_w_,
                           cooling_energy_j_);
         peak_it_w_ = std::max(peak_it_w_, sum.itPower);

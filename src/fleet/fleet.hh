@@ -116,9 +116,7 @@ struct FleetConfig
      * Per-archetype wax overrides, indexed by platform slot (the
      * single platform, or {1U, 2U, OCP} under mixedPlatforms).  When
      * non-empty it must have one entry per slot and replaces the
-     * run.waxConfig() deployment for every arena - this is the knob
-     * tts::opt turns for per-archetype wax mass / melt / box count
-     * candidates.
+     * run.waxConfig() deployment for every arena.
      */
     std::vector<server::WaxConfig> archetypeWax;
     /**
@@ -129,13 +127,6 @@ struct FleetConfig
      */
     workload::PlacementPolicy placement =
         workload::PlacementPolicy::Uniform;
-    /**
-     * Record the per-step cooling/IT/melt series.  The opt oracle
-     * turns this off: peaks, energy, and digests are still tracked,
-     * but thousands of candidate evaluations skip the per-step
-     * appends and carry no series memory.
-     */
-    bool recordSeries = true;
 };
 
 /** Aggregated outputs of a fleet run. */

@@ -37,28 +37,18 @@ formatDouble(double v)
 }
 
 /**
- * Parse @p word whole as an unsigned decimal: no sign, no junk, no
- * overflow.  @return False when it is anything else.
+ * Parse @p word whole as a number: no leading whitespace or '+', no
+ * junk, no overflow.  Unsigned words take no sign at all; doubles
+ * read everything the writer's %.17g emits, subnormals, inf and nan
+ * included.  @return False when it is anything else.
  */
+template <typename T>
 bool
-parseU64(const std::string &word, std::uint64_t &out)
+parseWhole(const std::string &word, T &out)
 {
     const char *end = word.data() + word.size();
     auto [ptr, ec] = std::from_chars(word.data(), end, out);
     return !word.empty() && ec == std::errc() && ptr == end;
-}
-
-/** Parse @p word whole as a double.  @return False on anything else. */
-bool
-parseDouble(const std::string &word, double &out)
-{
-    try {
-        std::size_t used = 0;
-        out = std::stod(word, &used);
-        return used == word.size();
-    } catch (const std::exception &) {
-        return false;
-    }
 }
 
 } // namespace
@@ -246,7 +236,7 @@ CheckpointReader::expect(const std::string &key)
 {
     std::string value = takeValue(key);
     double v = 0.0;
-    if (!parseDouble(value, v))
+    if (!parseWhole(value, v))
         fatal(origin_ + ": bad double for key '" + key + "': '" + value +
               "'");
     return v;
@@ -257,7 +247,7 @@ CheckpointReader::expectU64(const std::string &key)
 {
     std::string value = takeValue(key);
     std::uint64_t v = 0;
-    if (!parseU64(value, v))
+    if (!parseWhole(value, v))
         fatal(origin_ + ": bad u64 for key '" + key + "': '" + value +
               "'");
     return v;
@@ -267,18 +257,11 @@ std::int64_t
 CheckpointReader::expectI64(const std::string &key)
 {
     std::string value = takeValue(key);
-    try {
-        std::size_t used = 0;
-        std::int64_t v = std::stoll(value, &used);
-        require(used == value.size(),
-                origin_ + ": trailing junk in value for '" + key + "'");
-        return v;
-    } catch (const Error &) {
-        throw;
-    } catch (const std::exception &) {
+    std::int64_t v = 0;
+    if (!parseWhole(value, v))
         fatal(origin_ + ": bad i64 for key '" + key + "': '" + value +
               "'");
-    }
+    return v;
 }
 
 bool
@@ -306,7 +289,7 @@ CheckpointReader::expectWords(const std::string &key, const char *type,
     std::istringstream in(takeValue(key));
     std::string word;
     std::uint64_t n = 0;
-    if (!(in >> word) || !parseU64(word, n))
+    if (!(in >> word) || !parseWhole(word, n))
         fatal(origin_ + ": bad vector length for key '" + key + "': '" +
               word + "'");
     // The stated length only bounds the loop: the words on the line
@@ -329,13 +312,14 @@ CheckpointReader::expectWords(const std::string &key, const char *type,
 std::vector<double>
 CheckpointReader::expectVector(const std::string &key)
 {
-    return expectWords<double>(key, "double", parseDouble);
+    return expectWords<double>(key, "double", parseWhole<double>);
 }
 
 std::vector<std::uint64_t>
 CheckpointReader::expectU64Vector(const std::string &key)
 {
-    return expectWords<std::uint64_t>(key, "u64", parseU64);
+    return expectWords<std::uint64_t>(key, "u64",
+                                      parseWhole<std::uint64_t>);
 }
 
 TimeSeries

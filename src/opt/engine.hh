@@ -105,9 +105,11 @@ struct OptOptions
     bool polish = true;
     /**
      * Fleet oracle base configuration: population, horizon, steps,
-     * perturbations.  The engine overrides archetypeWax, placement,
-     * and recordSeries per candidate; mixedPlatforms must match the
-     * space's archetype count.
+     * perturbations.  The engine builds no FleetSim: it lays the
+     * fleet out from this and runs each slot through
+     * fleet::runArchetype with the candidate's wax and placement
+     * weight, so archetypeWax and placement are ignored.
+     * mixedPlatforms must match the space's archetype count.
      */
     fleet::FleetConfig fleet;
     /**

@@ -103,7 +103,7 @@ struct Daemon::Flight
 
 Daemon::Daemon(DaemonConfig config, Evaluator evaluate)
     : config_(std::move(config)), evaluate_(std::move(evaluate)),
-      cache_(config_.cache), batcher_(config_.batch)
+      cache_(config_.cache)
 {
     require(config_.queueCapacity >= 1,
             "serve daemon: queueCapacity must be >= 1");
@@ -338,7 +338,7 @@ Daemon::process(Job &job)
         TTS_OBS_COUNT(metrics().hits, 1);
         reply = Reply::okReply(fp, true, 0.0, std::move(cached));
     } else {
-        reply = evaluateMiss(req, canonical, fp);
+        reply = evaluateMiss(req, fp);
         if (reply.ok)
             cache_.insert(fp, canonical, reply.result);
     }
@@ -359,16 +359,11 @@ Daemon::process(Job &job)
 }
 
 Reply
-Daemon::evaluateMiss(const Request &req, const std::string &canonical,
-                     std::uint64_t fp)
+Daemon::evaluateMiss(const Request &req, std::uint64_t fp)
 {
     try {
         const Clock::time_point t0 = Clock::now();
-        // Fleet-backed misses ride the shared batcher so concurrent
-        // misses execute as one sweep.
-        Result result = batchable(req)
-            ? batcher_.evaluate(req, canonical)
-            : evaluate_(req);
+        Result result = evaluate_(req);
         const double eval_ms = msSince(t0);
         {
             std::lock_guard<std::mutex> lock(mu_);

@@ -29,11 +29,6 @@
  * same try/catch that guards evaluation, so a garbage payload costs
  * one queue slot and produces one typed reply.
  *
- * Fleet-backed cache misses additionally ride the MissBatcher
- * (serve/batch.hh): concurrent misses inside a short window execute
- * as one sharded fleet sweep, each reply still bit-identical to an
- * individual fresh evaluation.
- *
  * Crash-safety: the cache persists through guard's CRC'd tmp+rename
  * checkpoint path on shutdown() (and optionally every N inserts),
  * and a corrupt snapshot quarantines instead of aborting startup.
@@ -58,7 +53,6 @@
 #include <vector>
 
 #include "cache/result_cache.hh"
-#include "serve/batch.hh"
 #include "serve/eval.hh"
 #include "serve/protocol.hh"
 
@@ -79,9 +73,6 @@ struct DaemonConfig
     std::size_t maxRequestBytes = 64 * 1024;
     /** Result cache sizing/persistence. */
     tts::cache::CacheConfig cache;
-    /** Miss batching for fleet-backed studies (serve/batch.hh);
-     *  windowMs = 0 evaluates every miss individually. */
-    BatchOptions batch;
 };
 
 /** Monotonic counters describing one daemon's lifetime. */
@@ -107,6 +98,17 @@ struct DaemonStats
     std::map<std::string, double> toMap() const;
 };
 
+/** Always 0: the daemon batches no misses; single-flight is its one
+ *  coalescing mechanism.  Kept so the reported `batch.*` keys stay
+ *  stable for their readers, like DaemonStats::retries. */
+struct BatchStats
+{
+    std::uint64_t sweeps = 0;
+    std::uint64_t jobs = 0;
+    std::uint64_t coalesced = 0;
+    std::uint64_t largestBatch = 0;
+};
+
 /** What a worker calls to answer one cache miss. */
 using Evaluator = std::function<Result(const Request &)>;
 
@@ -118,8 +120,8 @@ class Daemon
      * (a corrupt snapshot is quarantined, never fatal).
      *
      * @param config   Sizing/robustness knobs.
-     * @param evaluate Answers every miss the MissBatcher does not
-     *        take; tests pass a stand-in to hold or fail a worker.
+     * @param evaluate Answers every miss; tests pass a stand-in to
+     *        hold or fail a worker.
      */
     explicit Daemon(DaemonConfig config,
                     Evaluator evaluate = serve::evaluate);
@@ -176,8 +178,8 @@ class Daemon
         return cache_.counters();
     }
 
-    /** @return Miss-batcher counters (sweeps/jobs/coalesced/...). */
-    BatchStats batchStats() const { return batcher_.stats(); }
+    /** @return All zero (see BatchStats). */
+    BatchStats batchStats() const { return {}; }
 
     /** @return The configuration the daemon runs with. */
     const DaemonConfig &config() const { return config_; }
@@ -188,14 +190,12 @@ class Daemon
 
     void workerLoop();
     Reply process(Job &job);
-    Reply evaluateMiss(const Request &req, const std::string &canonical,
-                       std::uint64_t fp);
+    Reply evaluateMiss(const Request &req, std::uint64_t fp);
     void noteReply(const Reply &reply, double latency_ms);
 
     DaemonConfig config_;
     Evaluator evaluate_;
     cache::ResultCache cache_;
-    MissBatcher batcher_;
     cache::CacheLoadOutcome loadOutcome_ =
         cache::CacheLoadOutcome::Fresh;
 

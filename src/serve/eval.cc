@@ -7,7 +7,7 @@
 #include "core/resilience_study.hh"
 #include "core/run_config.hh"
 #include "fault/fault_schedule.hh"
-#include "fleet/sweep.hh"
+#include "fleet/fleet.hh"
 #include "opt/engine.hh"
 #include "opt/space.hh"
 #include "plant/study.hh"
@@ -179,32 +179,27 @@ evalPlant(const Request &req)
 }
 
 /**
- * The fleet study's sweep job.  Coarse steps (300 s control, 60 s
- * thermal) keep a served run orders of magnitude cheaper than the
- * offline 2-day transient while exercising the same dedupe and
- * placement machinery.
+ * The fleet study.  Coarse steps (300 s control, 60 s thermal) keep a
+ * served run orders of magnitude cheaper than the offline 2-day
+ * transient while exercising the same dedupe and placement machinery.
  */
-fleet::SweepJob
-fleetJobOf(const Request &req)
+Result
+evalFleet(const Request &req)
 {
-    fleet::SweepJob job;
-    job.spec = specOf(req);
     workload::GoogleTraceParams tp;
     tp.durationS = units::days(req.days);
-    job.trace = workload::makeGoogleTrace(tp);
-    job.cfg.run = runConfigOf(req);
-    job.cfg.durationS = units::days(req.days);
-    job.cfg.controlIntervalS = 300.0;
-    job.cfg.thermalStepS = 60.0;
-    job.cfg.placement =
-        workload::placementPolicyFromName(req.placement);
-    job.cfg.recordSeries = false;
-    return job;
-}
+    const workload::WorkloadTrace trace = workload::makeGoogleTrace(tp);
 
-Result
-fleetResultOf(const fleet::FleetResult &r)
-{
+    fleet::FleetConfig cfg;
+    cfg.run = runConfigOf(req);
+    cfg.durationS = units::days(req.days);
+    cfg.controlIntervalS = 300.0;
+    cfg.thermalStepS = 60.0;
+    cfg.placement = workload::placementPolicyFromName(req.placement);
+    fleet::FleetSim sim(specOf(req), trace, cfg);
+    sim.run();
+    const fleet::FleetResult r = sim.take();
+
     Result out;
     out["fleet.peak_cooling_w"] = r.peakCoolingW;
     out["fleet.peak_it_w"] = r.peakItPowerW;
@@ -220,13 +215,6 @@ fleetResultOf(const fleet::FleetResult &r)
     out["fleet.digest32"] =
         static_cast<double>(r.stateDigest & 0xffffffffull);
     return out;
-}
-
-Result
-evalFleet(const Request &req)
-{
-    return fleetResultOf(
-        fleet::runFleetSweep({fleetJobOf(req)})[0]);
 }
 
 Result
@@ -300,32 +288,6 @@ evaluate(const Request &req)
     // parseRequest validates the study name; reaching here means a
     // caller built a Request by hand and got it wrong.
     fatal("evaluate: unknown study \"" + req.study + "\"");
-}
-
-bool
-batchable(const Request &req)
-{
-    return req.study == "fleet";
-}
-
-std::vector<Result>
-evaluateFleetBatch(const std::vector<Request> &reqs)
-{
-    std::vector<fleet::SweepJob> jobs;
-    jobs.reserve(reqs.size());
-    for (const Request &req : reqs) {
-        require(batchable(req),
-                "evaluateFleetBatch: study \"" + req.study +
-                    "\" is not batchable");
-        jobs.push_back(fleetJobOf(req));
-    }
-    std::vector<fleet::FleetResult> swept =
-        fleet::runFleetSweep(jobs);
-    std::vector<Result> out;
-    out.reserve(swept.size());
-    for (const fleet::FleetResult &r : swept)
-        out.push_back(fleetResultOf(r));
-    return out;
 }
 
 } // namespace serve

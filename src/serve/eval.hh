@@ -17,8 +17,6 @@
 #ifndef TTS_SERVE_EVAL_HH
 #define TTS_SERVE_EVAL_HH
 
-#include <vector>
-
 #include "serve/protocol.hh"
 
 namespace tts {
@@ -33,23 +31,6 @@ namespace serve {
  *         schedule); callers map it to ErrorKind::Malformed.
  */
 Result evaluate(const Request &req);
-
-/**
- * @return True when the request runs on the fleet oracle and can
- * ride a batched sweep (the "fleet" study).  Batchable requests
- * answered through evaluateFleetBatch are bit-identical to
- * evaluate() run alone - that is the miss batcher's contract.
- */
-bool batchable(const Request &req);
-
-/**
- * Evaluate a batch of batchable requests as one sharded fleet sweep
- * (fleet::runFleetSweep).  @return One Result per request, in
- * request order, each bit-identical to evaluate(reqs[i]).
- * @throws FatalError when any request is not batchable.
- */
-std::vector<Result>
-evaluateFleetBatch(const std::vector<Request> &reqs);
 
 } // namespace serve
 } // namespace tts

@@ -76,9 +76,8 @@ warmFromManifest(std::istream &in, Daemon &daemon,
     gather->stats.entries = entries.size();
     gather->pending = entries.size();
 
-    // Submit everything before waiting on anything: concurrent
-    // fleet-backed misses land in the MissBatcher's window and warm
-    // the cache as shared sweeps.
+    // Submit everything before waiting on anything, so the entries
+    // evaluate concurrently on the daemon's workers.
     for (auto &entry : entries) {
         const std::size_t entryLine = entry.first;
         daemon.submitAsync(

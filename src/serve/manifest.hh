@@ -20,9 +20,8 @@
  * painless).
  *
  * Warming submits every entry through Daemon::submitAsync *first*
- * and only then waits, so concurrent fleet-backed misses collect in
- * the MissBatcher and execute as shared sweeps - warming N fleet
- * scenarios costs a handful of sweeps, not N daemon round-trips.
+ * and only then waits, so the entries evaluate concurrently on the
+ * daemon's workers instead of one round-trip at a time.
  *
  * Failure posture: a manifest that cannot be read or lacks the
  * header is a deployment error and throws (with the offending line

@@ -102,6 +102,13 @@ eventsOf(const fault::FaultSchedule *faults)
     return faults ? faults->events() : no_events;
 }
 
+/** @return True when @p v is a whole number in [0, @p limit). */
+bool
+wholeBelow(double v, double limit)
+{
+    return v >= 0.0 && v < limit && v == std::floor(v);
+}
+
 const WorkloadTrace &
 checkedTrace(const WorkloadTrace &trace)
 {
@@ -624,8 +631,11 @@ struct ClusterSimEngine::Impl
             s.queue.clear();
             for (std::uint64_t q = 0; q < qlen; ++q) {
                 std::vector<double> job = r.expectVector(p + "job");
-                require(job.size() == 4,
-                        "dcsim checkpoint: bad job record");
+                // The id is checked against the in-flight table once
+                // that is read.
+                r.check(job.size() == 4 && wholeBelow(job[0], 0x1p53) &&
+                            wholeBelow(job[1], jobClassCount),
+                        p + "job", "want {id, class, arrival, service}");
                 s.queue.push_back(Job{
                     static_cast<std::uint64_t>(job[0]),
                     static_cast<JobClass>(
@@ -639,8 +649,11 @@ struct ClusterSimEngine::Impl
         for (std::uint64_t i = 0; i < ndep; ++i) {
             Departure d;
             d.time = r.expect("dep.time");
-            d.server = static_cast<std::size_t>(
-                r.expectU64("dep.server"));
+            const std::uint64_t server = r.expectU64("dep.server");
+            r.check(server < config.serverCount, "dep.server",
+                    "server " + std::to_string(server) +
+                        " outside the cluster");
+            d.server = static_cast<std::size_t>(server);
             d.job_id = r.expectU64("dep.job");
             d.epoch = r.expectU64("dep.epoch");
             departures.push_back(d);
@@ -670,18 +683,41 @@ struct ClusterSimEngine::Impl
                                    alive.begin(), alive.end(), true)),
                 "dcsim checkpoint: alive_count disagrees with the "
                 "alive set");
-        gap_depth = static_cast<int>(r.expectI64("gap_depth"));
+        const std::int64_t gap = r.expectI64("gap_depth");
+        r.check(gap >= 0 && gap <= std::numeric_limits<int>::max(),
+                "gap_depth", "depth " + std::to_string(gap) +
+                                 " outside [0, INT_MAX]");
+        gap_depth = static_cast<int>(gap);
 
         std::uint64_t nif = r.expectU64("inflight");
         inflight.clear();
         for (std::uint64_t i = 0; i < nif; ++i) {
             InFlight f;
             f.arrival = r.expect("inflight.arrival");
-            f.job_class = static_cast<JobClass>(
-                static_cast<int>(r.expectI64("inflight.class")));
+            const std::int64_t c = r.expectI64("inflight.class");
+            r.check(c >= 0 &&
+                        c < static_cast<std::int64_t>(jobClassCount),
+                    "inflight.class",
+                    "unknown job class " + std::to_string(c));
+            f.job_class = static_cast<JobClass>(c);
             inflight.push_back(f);
         }
+        // Every job id indexes the in-flight table.
+        for (std::size_t i = 0; i < servers.size(); ++i)
+            for (const Job &j : servers[i].queue)
+                r.check(j.id < nif,
+                        "server." + std::to_string(i) + ".job",
+                        "job " + std::to_string(j.id) +
+                            " outside the in-flight table");
+        for (const Departure &d : departures)
+            r.check(d.job_id < nif, "dep.job",
+                    "job " + std::to_string(d.job_id) +
+                        " outside the in-flight table");
         u64s = r.expectU64Vector("free_ids");
+        for (std::uint64_t id : u64s)
+            r.check(id < nif, "free_ids",
+                    "job " + std::to_string(id) +
+                        " outside the in-flight table");
         free_ids.assign(u64s.begin(), u64s.end());
 
         next_arrival = r.expect("next_arrival");

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <typeinfo>
 #include <vector>
@@ -259,6 +262,53 @@ TEST(Checkpoint, UnsignedWordsMustBeWholeAndUnsigned)
     expectRejectedByKey("v = 2 3abc -1", vec);
     expectRejectedByKey("v = 2 3 -1", vec);
     expectRejectedByKey("v = 1 +7", vec);
+}
+
+TEST(Checkpoint, SignedWordsAndDoublesMustBeWholeTokens)
+{
+    // No leading '+' or whitespace, and nothing the writer's %.17g
+    // does not emit (hex floats).
+    auto i64 = [](CheckpointReader &r) { r.expectI64("v"); };
+    expectRejectedByKey("v = +7", i64);
+    expectRejectedByKey("v =  7", i64);
+    expectRejectedByKey("v = 7 ", i64);
+    expectRejectedByKey("v = 9223372036854775808", i64);
+    auto dbl = [](CheckpointReader &r) { r.expect("v"); };
+    expectRejectedByKey("v = +1.5", dbl);
+    expectRejectedByKey("v =  1.5", dbl);
+    expectRejectedByKey("v = 0x1p3", dbl);
+    expectRejectedByKey("v = 1e400", dbl);
+    auto vec = [](CheckpointReader &r) { r.expectVector("v"); };
+    expectRejectedByKey("v = 1 +1.5", vec);
+    expectRejectedByKey("v = 2 1.5 0x1p3", vec);
+}
+
+TEST(Checkpoint, SubnormalAndNonFiniteDoublesRoundTripBitForBit)
+{
+    const std::vector<double> values = {
+        std::numeric_limits<double>::denorm_min(),
+        -2.5e-310,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        -0.0,
+    };
+    CheckpointWriter w;
+    w.section("s");
+    for (double v : values)
+        w.put("v", v);
+    w.putVector("all", values);
+    CheckpointReader r(w.finish(), "test");
+    r.expectSection("s");
+    auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    for (double v : values)
+        EXPECT_EQ(bits(r.expect("v")), bits(v));
+    const std::vector<double> all = r.expectVector("all");
+    ASSERT_EQ(all.size(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i)
+        EXPECT_EQ(bits(all[i]), bits(values[i])) << i;
+    r.expectEnd();
 }
 
 TEST(Checkpoint, DoublesInAVectorMustBeWhole)

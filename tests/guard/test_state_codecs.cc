@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -155,6 +156,48 @@ TEST(StateCodecs, InjectorRoundTripsMidReplay)
     a.advanceTo(50.0);
     b.advanceTo(50.0);
     EXPECT_EQ(b.coolingCapacityFraction(), a.coolingCapacityFraction());
+}
+
+/** @return @p doc with its line @p from replaced by @p to, resealed. */
+std::string
+resealedWith(const std::string &doc, const std::string &from,
+             const std::string &to)
+{
+    std::string body = doc.substr(0, doc.rfind("crc32 "));
+    const std::size_t at = body.find("\n" + from + "\n");
+    EXPECT_NE(at, std::string::npos) << from;
+    body.replace(at + 1, from.size(), to);
+    char crc[9];
+    std::snprintf(crc, sizeof crc, "%08x", crc32(body));
+    return body + "crc32 " + crc + "\n";
+}
+
+TEST(StateCodecs, InjectorGapDepthOutsideAnIntIsRejectedByKey)
+{
+    fault::FaultSchedule schedule;
+    fault::FaultInjector a(schedule, 8);
+    CheckpointWriter w;
+    a.save(w, "inj");
+    const std::string doc = w.finish();
+    {
+        fault::FaultInjector b(schedule, 8);
+        CheckpointReader r(resealedWith(doc, "inj.gap_depth = 0",
+                                        "inj.gap_depth = 3"),
+                           "test");
+        b.restore(r, "inj");
+        EXPECT_TRUE(b.traceGapActive());
+    }
+    for (const std::string key : {"inj.gap_depth", "inj.weather_gap_depth"})
+        for (const char *bad : {"-1", "2147483648"}) {
+            SCOPED_TRACE(key + " = " + bad);
+            fault::FaultInjector b(schedule, 8);
+            CheckpointReader r(
+                resealedWith(doc, key + " = 0", key + " = " + bad), "test");
+            const std::string msg =
+                fatalMessage([&] { b.restore(r, "inj"); });
+            EXPECT_NE(msg.find("key '" + key + "'"), std::string::npos)
+                << msg;
+        }
 }
 
 TEST(StateCodecs, InjectorBitmapOfTheWrongPopulationIsRejectedByKey)

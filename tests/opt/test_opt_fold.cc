@@ -68,7 +68,6 @@ fleetRunOf(const SearchSpace &space, const Candidate &c,
         f.archetypeWax.push_back(
             waxConfigOf(space, c, a, opts.fleet.run.meltWindowC));
     f.placement = space.policies[static_cast<std::size_t>(c.policy)];
-    f.recordSeries = false;
     fleet::FleetSim sim(space.archetypes[0].spec, trace, f);
     EXPECT_TRUE(sim.run());
     // Rows in every arena, and arenas 0 and 1 cloned rows at the

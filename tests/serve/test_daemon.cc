@@ -2,8 +2,9 @@
  * @file
  * Daemon behavior tests: the degradation ladder (cache hit,
  * coalescing, deadline, shed, worker_failed, shutdown), cache-hit
- * bit-identity with fresh evaluations at 1 and 8 workers, and the
- * ordered reply stream.  A ladder test that needs a busy worker holds
+ * bit-identity with fresh evaluations at 1 and 8 workers, concurrent
+ * fleet misses that each cost one evaluator call, and the ordered
+ * reply stream.  A ladder test that needs a busy worker holds
  * it inside a stand-in evaluator until the test opens a latch.
  */
 
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <latch>
 #include <mutex>
 #include <stdexcept>
@@ -43,6 +45,31 @@ quickRequest(double horizon_s = 120.0, double util = 0.9,
     r.utilization = util;
     r.waxLiters = wax_l;
     return writeRequest(r);
+}
+
+/** Distinct fleet requests, small enough to run in a test. */
+std::vector<Request>
+fleetPool(std::size_t n)
+{
+    std::vector<Request> reqs;
+    for (std::size_t i = 0; i < n; ++i) {
+        Request r;
+        r.study = "fleet";
+        r.servers = 8 + 4 * i;
+        r.days = 0.25;
+        reqs.push_back(r);
+    }
+    return reqs;
+}
+
+/** An evaluator that counts its calls, then evaluates for real. */
+Evaluator
+countingEvaluator(std::atomic<std::size_t> &calls)
+{
+    return [&calls](const Request &req) {
+        ++calls;
+        return evaluate(req);
+    };
 }
 
 /**
@@ -160,6 +187,75 @@ TEST(ServeDaemon, ResultsIdenticalAtOneAndEightWorkers)
         }
     }
     EXPECT_EQ(at1, at8);
+}
+
+/**
+ * Submit two rounds of distinct fleet requests at once to a daemon
+ * at @p workers width.  Every reply must equal a daemon-free
+ * evaluation, and each distinct miss is one call to the evaluator:
+ * a duplicate joins its flight or hits the cache.
+ */
+void
+expectConcurrentFleetMissesMatchEvaluate(std::size_t workers)
+{
+    const std::vector<Request> pool = fleetPool(4);
+    std::vector<Result> baseline;
+    for (const Request &r : pool)
+        baseline.push_back(evaluate(r));
+
+    DaemonConfig config;
+    config.workers = workers;
+    std::atomic<std::size_t> calls{0};
+    Daemon daemon(config, countingEvaluator(calls));
+    std::vector<std::future<Reply>> futs;
+    for (int round = 0; round < 2; ++round)
+        for (const Request &r : pool)
+            futs.push_back(daemon.submit(writeRequest(r)));
+    for (std::size_t k = 0; k < futs.size(); ++k) {
+        const Reply reply = futs[k].get();
+        ASSERT_TRUE(reply.ok) << reply.detail;
+        EXPECT_EQ(reply.result, baseline[k % pool.size()])
+            << "reply " << k << " differs from the daemon-free "
+            << "evaluation at " << workers << " workers";
+    }
+    EXPECT_EQ(calls.load(), pool.size());
+    EXPECT_EQ(daemon.stats().evaluations, pool.size());
+}
+
+TEST(ServeDaemon, ConcurrentFleetMissesMatchEvaluateWithOneWorker)
+{
+    expectConcurrentFleetMissesMatchEvaluate(1);
+}
+
+TEST(ServeDaemon, ConcurrentFleetMissesMatchEvaluateWithEightWorkers)
+{
+    expectConcurrentFleetMissesMatchEvaluate(8);
+}
+
+TEST(ServeDaemon, AllHitsTrafficEvaluatesNothing)
+{
+    const std::vector<Request> pool = fleetPool(2);
+    DaemonConfig config;
+    config.workers = 2;
+    std::atomic<std::size_t> calls{0};
+    Daemon daemon(config, countingEvaluator(calls));
+    // Warm serially, then hammer the warm entries concurrently.
+    for (const Request &r : pool)
+        ASSERT_TRUE(daemon.call(writeRequest(r)).ok);
+    const std::uint64_t warm = daemon.stats().evaluations;
+    std::vector<std::future<Reply>> futs;
+    for (int round = 0; round < 4; ++round)
+        for (const Request &r : pool)
+            futs.push_back(daemon.submit(writeRequest(r)));
+    for (auto &f : futs) {
+        const Reply reply = f.get();
+        ASSERT_TRUE(reply.ok) << reply.detail;
+        EXPECT_TRUE(reply.cacheHit);
+    }
+    // A hit is answered at the cache rung and never evaluates.
+    EXPECT_EQ(warm, pool.size());
+    EXPECT_EQ(daemon.stats().evaluations, warm);
+    EXPECT_EQ(calls.load(), pool.size());
 }
 
 TEST(ServeDaemon, RepeatedDocumentsHitTheCacheWithinTheLatencyBudget)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Manifest warming tests: header validation, warm/hit/fail
- * accounting, batcher-mediated warming of fleet entries, and the
+ * accounting, concurrent warming of fleet entries, and the
  * warm-start contract (the first post-warm client hits the cache
  * with a bit-identical result).
  */
@@ -134,12 +134,9 @@ TEST(ServeManifest, WarmedEntriesServeAsBitIdenticalCacheHits)
 
 TEST(ServeManifest, FleetEntriesWarmThroughTheMissBatcher)
 {
-    // Four fleet entries submitted together must collect into
-    // shared sweeps, not four separate dispatches.
+    // Four fleet entries submitted together all warm the cache.
     DaemonConfig config;
     config.workers = 4;
-    config.batch.windowMs = 50.0;
-    config.batch.maxBatch = 4;
     Daemon daemon(config);
     std::ostringstream text;
     text << "tts-serve-manifest v1\n";
@@ -150,10 +147,6 @@ TEST(ServeManifest, FleetEntriesWarmThroughTheMissBatcher)
     EXPECT_EQ(warm.entries, 4u);
     EXPECT_EQ(warm.warmed, 4u);
     EXPECT_EQ(warm.failed, 0u);
-    const BatchStats batch = daemon.batchStats();
-    EXPECT_EQ(batch.jobs, 4u);
-    EXPECT_LT(batch.sweeps, 4u)
-        << "warming dispatched every miss individually";
     // The warmed entries answer as cache hits, bit-identical.
     const Result baseline =
         evaluate(parseRequest(fleetLine(8)));

@@ -4,7 +4,9 @@
 
 #include <cstdio>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <utility>
 
 #include "guard/checkpoint.hh"
 #include "util/error.hh"
@@ -330,6 +332,134 @@ TEST(ClusterSimEngine, RestoreWantsAnAliveCountThatMatchesTheAliveSet)
         restoreSmall(trace,
                      withLine(doc, "alive_count", "alive_count = 15")),
         FatalError);
+}
+
+/** Restore @p doc into a fresh small-cluster engine and run it out. */
+void
+restoreAndRun(const WorkloadTrace &trace, const std::string &doc)
+{
+    ClusterSimEngine b(smallConfig(), trace, nullptr);
+    guard::CheckpointReader r(doc, "test");
+    b.restore(r);
+    r.expectEnd();
+    b.runUntil(std::numeric_limits<double>::infinity());
+}
+
+/** Expect restoring @p doc to raise a FatalError that names @p key. */
+void
+expectRejectedKey(const WorkloadTrace &trace, const std::string &doc,
+                  const std::string &key)
+{
+    try {
+        restoreAndRun(trace, doc);
+        ADD_FAILURE() << key << " accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+/** @return The in-flight table size of @p doc. */
+std::size_t
+inflightCount(const std::string &doc)
+{
+    const std::size_t at = doc.find("\ninflight = ");
+    EXPECT_NE(at, std::string::npos);
+    return std::stoul(doc.substr(at + 12));
+}
+
+TEST(ClusterSimEngine, RestoreWantsDepartureServersInsideTheCluster)
+{
+    // A departure indexes the epoch and server tables when it fires.
+    auto trace = flatTrace(0.5);
+    const std::string doc = midRunDocument(trace);
+    restoreSmall(trace, withLine(doc, "dep.server", "dep.server = 15"));
+    expectRejectedKey(trace, withLine(doc, "dep.server", "dep.server = 16"),
+                      "dep.server");
+}
+
+TEST(ClusterSimEngine, RestoreWantsDepartureJobsInsideTheInFlightTable)
+{
+    auto trace = flatTrace(0.5);
+    const std::string doc = midRunDocument(trace);
+    const std::size_t count = inflightCount(doc);
+    const std::string n = std::to_string(count);
+    const std::string last = std::to_string(count - 1);
+    restoreSmall(trace, withLine(doc, "dep.job", "dep.job = " + last));
+    expectRejectedKey(trace, withLine(doc, "dep.job", "dep.job = " + n),
+                      "dep.job");
+}
+
+TEST(ClusterSimEngine, RestoreWantsFreeIdsInsideTheInFlightTable)
+{
+    // The next arrival reuses the last free id as its in-flight slot.
+    auto trace = flatTrace(0.5);
+    const std::string doc = midRunDocument(trace);
+    const std::size_t count = inflightCount(doc);
+    const std::string n = std::to_string(count);
+    const std::string last = std::to_string(count - 1);
+    restoreSmall(trace, withLine(doc, "free_ids", "free_ids = 1 " + last));
+    expectRejectedKey(trace, withLine(doc, "free_ids", "free_ids = 1 " + n),
+                      "free_ids");
+}
+
+TEST(ClusterSimEngine, RestoreWantsQueuedJobsWithAKnownIdAndClass)
+{
+    // An overloaded cluster queues jobs; a queued job's id indexes the
+    // in-flight table when it starts, and its class must be one of the
+    // three.
+    auto trace = flatTrace(1.5);
+    const std::string doc = midRunDocument(trace);
+    const std::size_t at = doc.find(".job = 4 ");
+    ASSERT_NE(at, std::string::npos) << "no queued job at 500 s";
+    const std::size_t begin = doc.rfind('\n', at) + 1;
+    const std::string key = doc.substr(begin, at + 4 - begin);
+    std::istringstream words(doc.substr(at + 7));
+    std::string len, id, cls, arrival, service;
+    words >> len >> id >> cls >> arrival >> service;
+    const std::string n = std::to_string(inflightCount(doc));
+    auto job = [&](const std::string &i, const std::string &c) {
+        return withLine(doc, key,
+                        key + " = 4 " + i + " " + c + " " + arrival +
+                            " " + service);
+    };
+    restoreSmall(trace, job(id, "2"));
+    for (const auto &[i, c] :
+         {std::pair{n, cls}, std::pair{std::string("-1"), cls},
+          std::pair{id + ".5", cls}, std::pair{id, std::string("3")},
+          std::pair{id, std::string("0.5")}}) {
+        SCOPED_TRACE("id " + i + " class " + c);
+        expectRejectedKey(trace, job(i, c), key);
+    }
+}
+
+TEST(ClusterSimEngine, RestoreWantsKnownInFlightJobClasses)
+{
+    // A completing job is counted under its class.
+    auto trace = flatTrace(0.5);
+    const std::string doc = midRunDocument(trace);
+    restoreSmall(trace,
+                 withLine(doc, "inflight.class", "inflight.class = 2"));
+    for (const char *bad : {"3", "-1"})
+        expectRejectedKey(
+            trace,
+            withLine(doc, "inflight.class",
+                     std::string("inflight.class = ") + bad),
+            "inflight.class");
+}
+
+TEST(ClusterSimEngine, RestoreWantsAGapDepthThatFitsAnInt)
+{
+    // The engine keeps its trace-gap depth at 0 or above in an int.
+    auto trace = flatTrace(0.5);
+    const std::string doc = midRunDocument(trace);
+    restoreSmall(trace, withLine(doc, "gap_depth", "gap_depth = 1"));
+    for (const char *bad : {"-1", "2147483648"})
+        expectRejectedKey(
+            trace,
+            withLine(doc, "gap_depth", std::string("gap_depth = ") + bad),
+            "gap_depth");
 }
 
 } // namespace

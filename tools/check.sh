@@ -17,7 +17,8 @@
 #     tests, the multi-client socket soak, and the tts_sim CLI smoke
 #     (a fleet with metrics, trace and profile on).
 #  3. ASan+UBSan tree (build-asan/, TTS_SANITIZE=address): the guard
-#     and util suites, cluster save/restore and round-robin dispatch
+#     and util suites, cluster save/restore (including resealed
+#     checkpoints with out-of-range indices) and round-robin dispatch
 #     around dead servers (DcSimFaultInvariants.*), fleet
 #     save/restore and slice stepping (FleetCheckpoint.*, including
 #     the pause off a slice boundary, and FleetStep.*: a slice stores
@@ -133,14 +134,13 @@ echo "== TSan: daemon degradation ladder, 50 repeats, 8 threads =="
 TTS_THREADS=8 ./build-tsan/tests/tts_serve_test \
     --gtest_filter='ServeDaemon.*' --gtest_repeat=50
 echo "== TSan: multi-client socket soak, 8 sessions x 8 workers =="
-# The mux/batcher/daemon stack under its most concurrent test: 8
-# framed sessions (slow-client stalls, slow readers, disconnects,
-# malformed frames from the serve fault plan) multiplexed onto 8
-# workers.  Redundant with
-# the full-suite lane above, but kept separate so a data race in the
-# session mux is named by the lane that fails.
+# The mux/daemon stack under its most concurrent test: 8 framed
+# sessions (slow-client stalls, slow readers, disconnects, malformed
+# frames from the serve fault plan) multiplexed onto 8 workers.
+# Redundant with the full-suite lane above, but kept separate so a
+# data race in the session mux is named by the lane that fails.
 TTS_THREADS=8 ./build-tsan/tests/tts_serve_test \
-    --gtest_filter='ServeMux.MultiClientSoak*:ServeBatch.*'
+    --gtest_filter='ServeMux.MultiClientSoak*'
 
 echo "== ASan+UBSan build (TTS_SANITIZE=address) =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

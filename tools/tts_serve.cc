@@ -12,8 +12,7 @@
  * Daemon flags (stdio and socket modes):
  *   [--workers=N] [--queue=N] [--deadline-ms=D] [--max-bytes=N]
  *   [--cache=FILE] [--cache-cap=N] [--persist-every=N]
- *   [--stats=FILE] [--manifest=FILE] [--batch-window-ms=D]
- *   [--batch-max=N]
+ *   [--stats=FILE] [--manifest=FILE]
  *
  * `stdio` serves one framed session: length-prefixed request frames
  * on stdin, one reply frame per request on stdout, in order - the
@@ -24,11 +23,11 @@
  * `socket` listens on a Unix domain socket and serves many
  * concurrent framed sessions.  Both modes run the same session loop
  * (the SessionMux): every session gets in-order replies, slow
- * clients only slow themselves, and concurrent fleet-backed cache
- * misses batch into shared sweeps.  --once exits after the first
- * session closes, which makes demos and tests self-terminating;
- * --max-sessions bounds concurrency and --window bounds the
- * requests a session has outstanding (stdio uses the defaults).
+ * clients only slow themselves, and identical in-flight misses share
+ * one evaluation.  --once exits after the first session closes,
+ * which makes demos and tests self-terminating; --max-sessions
+ * bounds concurrency and --window bounds the requests a session has
+ * outstanding (stdio uses the defaults).
  * --manifest=FILE pre-warms the cache from a scenario manifest
  * *before* any session opens, so the first real client already hits
  * warm entries.  `send` is the matching client: it reads one
@@ -86,8 +85,6 @@ struct DaemonFlags
     std::size_t persistEvery = 0;
     std::string statsPath;
     std::string manifestPath;
-    double batchWindowMs = 2.0;
-    std::size_t batchMax = 16;
 };
 
 void
@@ -111,10 +108,6 @@ addDaemonFlags(cli::Parser &p, DaemonFlags &f)
     p.addString("manifest", &f.manifestPath,
                 "warm the cache from a scenario manifest at "
                 "startup");
-    p.addDouble("batch-window-ms", &f.batchWindowMs,
-                "miss-batching window for fleet studies (0 = off)");
-    p.addSize("batch-max", &f.batchMax,
-              "largest miss batch (unique requests per sweep)");
 }
 
 serve::DaemonConfig
@@ -128,8 +121,6 @@ configOf(const DaemonFlags &f)
     config.cache.path = f.cachePath;
     config.cache.capacity = f.cacheCap;
     config.cache.persistEveryInserts = f.persistEvery;
-    config.batch.windowMs = f.batchWindowMs;
-    config.batch.maxBatch = f.batchMax;
     return config;
 }
 
