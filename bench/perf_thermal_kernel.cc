@@ -16,17 +16,31 @@
  *     exec::parallel_for_index task must produce bit-identical state
  *     at 1 and 8 threads.
  *
- * Writes flat kv-json (ns/step, steps/s, speedup) to stdout and,
+ * A third arm races the lane kernel: per platform, 16 paper-wax
+ * servers stepped like fleet rows through the 2-day synthetic Google
+ * trace (setLoad, the three read-outs, advance(60, 15)), once one by
+ * one through advance() and once as two 8-lane advanceLanes() calls.
+ * Every read-out and the end state (enthalpies, PCM latches, guard
+ * counters) must match bit for bit (lanes_identical), and outside
+ * --short the lanes must be at least kMinLanesSpeedup (1.5) times
+ * faster per row step.  A row step is one 15 s RK4 step of one
+ * server, the unit of perfbench's thermal.row_step_ns.
+ *
+ * Writes flat kv-json (ns/step, steps/s, speedups) to stdout and,
  * with --out=FILE, to the file CI tracks (BENCH_thermal.json).
  * --short shrinks the horizon for the ctest smoke run.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +53,7 @@
 #include "util/kv_json.hh"
 #include "util/table.hh"
 #include "util/units.hh"
+#include "workload/google_trace.hh"
 
 namespace {
 
@@ -148,6 +163,98 @@ runFleet(std::size_t threads, double horizon_s, double step_s)
     return state;
 }
 
+/** The lane race's bar on scalar / lanes time per row step. */
+constexpr double kMinLanesSpeedup = 1.5;
+
+/** Servers per platform in the lane race: two full lane calls. */
+constexpr std::size_t kLaneServers =
+    2 * thermal::ServerThermalNetwork::kLanes;
+
+/** One lane-race arm: wall time and every bit it produced. */
+struct LaneArm
+{
+    double wall_s = 0.0;
+    /** Read-outs in step order, then the end state of every server. */
+    std::vector<double> bits;
+};
+
+/**
+ * Step kLaneServers paper-wax servers of @p spec like fleet rows over
+ * @p trace: each control step sets a server's load (its own offset on
+ * the trace), takes its three read-outs and advances it 60 s in 15 s
+ * steps, one by one or as lanes.
+ */
+LaneArm
+runLaneArm(const server::ServerSpec &spec,
+           const workload::WorkloadTrace &trace, double horizon_s,
+           bool lanes)
+{
+    std::vector<std::unique_ptr<server::ServerModel>> rows;
+    std::vector<thermal::ServerThermalNetwork *> nets;
+    for (std::size_t i = 0; i < kLaneServers; ++i) {
+        rows.push_back(std::make_unique<server::ServerModel>(
+            spec, server::WaxConfig::paper()));
+        rows[i]->network().setInletTemp(24.0 + 0.125 * i);
+        rows[i]->setLoad(trace.totalAt(0.0));
+        rows[i]->solveSteadyState();
+        nets.push_back(&rows[i]->network());
+    }
+    const std::size_t steps =
+        static_cast<std::size_t>(horizon_s / 60.0);
+    LaneArm out;
+    out.bits.reserve(steps * kLaneServers * 3);
+    const std::span<thermal::ServerThermalNetwork *const> all(nets);
+    const std::size_t w = thermal::ServerThermalNetwork::kLanes;
+    auto t0 = Clock::now();
+    for (std::size_t k = 0; k < steps; ++k) {
+        const double u = trace.totalAt(60.0 * static_cast<double>(k));
+        for (std::size_t i = 0; i < kLaneServers; ++i) {
+            server::ServerModel &m = *rows[i];
+            m.setLoad(std::clamp(u + 0.02 * static_cast<double>(i) - 0.15,
+                                 0.0, 1.0));
+            out.bits.push_back(m.coolingLoad());
+            out.bits.push_back(m.wallPower());
+            out.bits.push_back(m.waxMeltFraction());
+        }
+        if (lanes) {
+            thermal::ServerThermalNetwork::advanceLanes(
+                all.subspan(0, w), 60.0, 15.0);
+            thermal::ServerThermalNetwork::advanceLanes(
+                all.subspan(w), 60.0, 15.0);
+        } else {
+            for (auto &m : rows)
+                m->advance(60.0, 15.0);
+        }
+    }
+    out.wall_s = std::chrono::duration<double>(Clock::now() - t0)
+                     .count();
+    for (auto &m : rows) {
+        const std::vector<double> &h = m->network().enthalpies();
+        out.bits.insert(out.bits.end(), h.begin(), h.end());
+        const pcm::PcmElement::ThermalState st = m->wax()->thermalState();
+        out.bits.push_back(st.enthalpyJ);
+        out.bits.push_back(st.freezingBranch);
+        out.bits.push_back(st.wasMelted);
+        out.bits.push_back(static_cast<double>(st.cycles));
+        const guard::GuardCounters &c = m->network().guardCounters();
+        for (std::uint64_t v : {c.advances, c.steps, c.audits,
+                                c.sentinelTrips, c.auditTrips, c.retries,
+                                c.fallbacks})
+            out.bits.push_back(static_cast<double>(v));
+        out.bits.push_back(c.worstResidualJ);
+        out.bits.push_back(c.worstResidualTimeS);
+    }
+    return out;
+}
+
+/** @return True when @p a and @p b hold the same doubles, bit for bit. */
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+        std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 bool
 bitIdentical(const std::vector<double> &a,
              const std::vector<double> &b)
@@ -216,6 +323,39 @@ main(int argc, char **argv)
     auto fleet8 = runFleet(8, fleet_horizon, step_s);
     bool fleet_identical = bitIdentical(fleet1, fleet8);
 
+    // Lane race: scalar and lane arms alternate, three rounds per
+    // platform, and each keeps its fastest round (the host drifts).
+    workload::GoogleTraceParams trace_params;
+    trace_params.durationS = horizon_s;
+    const workload::WorkloadTrace trace =
+        workload::makeGoogleTrace(trace_params);
+    const char *const lane_tags[] = {"1u", "2u", "ocp"};
+    const server::ServerSpec lane_specs[] = {
+        server::rd330Spec(), server::x4470Spec(),
+        server::openComputeSpec()};
+    bool lanes_identical = true;
+    double scalar_wall = 0.0, lanes_wall = 0.0;
+    double scalar_ns[3], lanes_ns[3];
+    const double row_steps = 4.0 * kLaneServers *
+        std::floor(horizon_s / 60.0);
+    for (std::size_t a = 0; a < 3; ++a) {
+        double best_scalar = 1e300, best_lanes = 1e300;
+        for (int round = 0; round < 3; ++round) {
+            LaneArm sc = runLaneArm(lane_specs[a], trace, horizon_s, false);
+            LaneArm ln = runLaneArm(lane_specs[a], trace, horizon_s, true);
+            lanes_identical = lanes_identical && sameBits(sc.bits, ln.bits);
+            best_scalar = std::min(best_scalar, sc.wall_s);
+            best_lanes = std::min(best_lanes, ln.wall_s);
+        }
+        scalar_wall += best_scalar;
+        lanes_wall += best_lanes;
+        scalar_ns[a] = 1e9 * best_scalar / row_steps;
+        lanes_ns[a] = 1e9 * best_lanes / row_steps;
+    }
+    const double lanes_speedup = scalar_wall / lanes_wall;
+    const double scalar_row_ns = 1e9 * scalar_wall / (3.0 * row_steps);
+    const double lanes_row_ns = 1e9 * lanes_wall / (3.0 * row_steps);
+
     std::cout << "=== SoA thermal kernel: " << days
               << "-day resilience-style transient ===\n\n";
     AsciiTable t({"kernel", "wall (s)", "ns/step", "steps/s"});
@@ -235,6 +375,22 @@ main(int argc, char **argv)
               << (fleet_identical ? "bit-identical" : "DIFFERS")
               << "\n\n";
 
+    std::cout << "=== Lane kernel: " << kLaneServers
+              << " paper-wax rows per platform, ns per row step ===\n\n";
+    AsciiTable lt({"platform", "scalar", "lanes", "speedup"});
+    for (std::size_t a = 0; a < 3; ++a)
+        lt.addRow({lane_tags[a], formatFixed(scalar_ns[a], 0),
+                   formatFixed(lanes_ns[a], 0),
+                   formatFixed(scalar_ns[a] / lanes_ns[a], 2) + "x"});
+    lt.print(std::cout);
+    std::cout << "\nlanes speedup:            "
+              << formatFixed(lanes_speedup, 2) << "x (gate "
+              << (short_run ? std::string("off with --short")
+                            : formatFixed(kMinLanesSpeedup, 2) + "x")
+              << ")\n"
+              << "lanes bit-identical:      "
+              << (lanes_identical ? "yes" : "NO") << "\n\n";
+
     std::map<std::string, double> json{
         {"days", days},
         {"steps", static_cast<double>(optimized.steps)},
@@ -245,12 +401,18 @@ main(int argc, char **argv)
         {"speedup", speedup},
         {"state_identical", state_identical ? 1.0 : 0.0},
         {"fleet_identical", fleet_identical ? 1.0 : 0.0},
+        {"scalar_ns_per_row_step", scalar_row_ns},
+        {"lanes_ns_per_row_step", lanes_row_ns},
+        {"lanes_speedup", lanes_speedup},
+        {"lanes_identical", lanes_identical ? 1.0 : 0.0},
     };
     std::cout << writeKvJson(json);
     if (!out_file.empty())
         writeKvJsonFile(out_file, json);
 
-    if (!state_identical || !fleet_identical)
+    if (!state_identical || !fleet_identical || !lanes_identical)
+        return 1;
+    if (!short_run && lanes_speedup < kMinLanesSpeedup)
         return 1;
     return speedup >= min_speedup ? 0 : 1;
 }

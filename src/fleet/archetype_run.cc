@@ -1,6 +1,7 @@
 #include "fleet/archetype_run.hh"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <string>
 
@@ -150,28 +151,50 @@ ArchetypeRun::stepRows(std::uint32_t lo, std::uint32_t hi,
                        std::span<const SliceStep> slice,
                        double thermal_step_s)
 {
-    // A row runs its whole slice before the next row starts.
+    using thermal::ServerThermalNetwork;
     const std::size_t samples = slice.size();
-    for (auto itr = rows_.lower_bound(lo);
-         itr != rows_.end() && itr->first < hi; ++itr) {
-        MaterializedRow &row = itr->second;
+    const auto first = rows_.lower_bound(lo);
+    const auto last = rows_.lower_bound(hi);
+    for (auto itr = first; itr != last; ++itr) {
         // The buffer lives as long as the row: size it once, with
         // room for the horizon sample, so the last slice does not
         // reallocate every row.
-        if (row.out.capacity() < samples)
-            row.out.reserve(samples + 1);
-        row.out.resize(samples);
-        auto q = row.queued.cbegin();
-        for (std::size_t j = firstSliceStep(row); j < samples; ++j) {
-            const SliceStep &s = slice[j];
-            for (; q != row.queued.cend() && q->step == j; ++q)
-                row.pert.apply(q->kind, q->value);
-            row.out[j] = setRow(row, s.u, s.t);
-            if (s.dt > 0.0)
-                row.model->advance(s.dt, thermal_step_s);
-        }
-        row.queued.clear();
+        std::vector<RowReadout> &out = itr->second.out;
+        if (out.capacity() < samples)
+            out.reserve(samples + 1);
+        out.resize(samples);
     }
+    // Step-major: every row of the range takes step j before any
+    // takes step j + 1, so the rows due at a step advance together,
+    // ServerThermalNetwork::kLanes at a time.  The rows share the
+    // arena's (spec, wax), hence one network topology.
+    std::array<ServerThermalNetwork *, ServerThermalNetwork::kLanes>
+        batch;
+    for (std::size_t j = 0; j < samples; ++j) {
+        const SliceStep &s = slice[j];
+        std::size_t due = 0;
+        for (auto itr = first; itr != last; ++itr) {
+            MaterializedRow &row = itr->second;
+            if (j < firstSliceStep(row))
+                continue;
+            for (const QueuedPerturbation &q : row.queued)
+                if (q.step == j)
+                    row.pert.apply(q.kind, q.value);
+            row.out[j] = setRow(row, s.u, s.t);
+            if (s.dt <= 0.0)
+                continue;
+            batch[due++] = &row.model->network();
+            if (due == batch.size()) {
+                ServerThermalNetwork::advanceLanes(batch, s.dt,
+                                                   thermal_step_s);
+                due = 0;
+            }
+        }
+        ServerThermalNetwork::advanceLanes({batch.data(), due}, s.dt,
+                                           thermal_step_s);
+    }
+    for (auto itr = first; itr != last; ++itr)
+        itr->second.queued.clear();
 }
 
 void

@@ -164,10 +164,12 @@ class ArchetypeRun
     void advanceBaseline(double dt, double thermal_step_s);
 
     /**
-     * Step the rows of servers [lo, hi) through the slice: apply
-     * queued events as their steps come up, set the row, store its
-     * read-out and advance it.  Touches nothing but those rows, so
-     * shard tasks call it concurrently on disjoint ranges.
+     * Step the rows of servers [lo, hi) through the slice, step by
+     * step: at each step every due row applies its queued events,
+     * is set and stores its read-out, and the due rows advance in
+     * lanes (thermal::ServerThermalNetwork::advanceLanes).  Touches
+     * nothing but those rows, so shard tasks call it concurrently on
+     * disjoint ranges.
      */
     void stepRows(std::uint32_t lo, std::uint32_t hi,
                   std::span<const SliceStep> slice,

@@ -90,6 +90,9 @@ class EnthalpyCurve
     /** @return The parameters the curve was built from. */
     const EnthalpyParams &params() const { return params_; }
 
+    /** @return The H(T) breakpoints temperatureAt() inverts. */
+    const PiecewiseLinear &breakpoints() const { return curve_; }
+
   private:
     EnthalpyParams params_;
     PiecewiseLinear curve_;  //!< H as a function of T.

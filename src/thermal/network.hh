@@ -35,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -203,6 +204,34 @@ class ServerThermalNetwork
      */
     void advance(double dt_total, double dt_step = 1.0);
 
+    /** Networks one pass of the lane kernel steps together. */
+    static constexpr std::size_t kLanes = 8;
+
+    /**
+     * Advance every network in @p nets by @p dtTotal with internal
+     * step @p dtStep: bit for bit what calling advance(dtTotal,
+     * dtStep) on each in order does - state, PCM latches, every guard
+     * counter, obs clock and melt events.
+     *
+     * Networks of one topology (zone count, each node's zone, air
+     * coupling and PCM flag, and the links) run their guarded first
+     * attempt as lanes of one RK4 kernel, kLanes at a time, with each
+     * lane repeating the scalar kernel's operations in the same order
+     * (thermal/lanes.cc).  A network that advance() would not send
+     * through that attempt (guard off, a test corruptor set, the
+     * reference kernel config, no airflow) and one whose attempt
+     * trips run advance() at their place in the order; if that call
+     * throws, the networks after it are left untouched.  Fewer than
+     * three networks that take the attempt run advance(): a kernel
+     * pass costs about as much with one live lane as with kLanes.
+     *
+     * @throws FatalError when two networks differ in topology or one
+     *         network appears twice.
+     */
+    static void advanceLanes(
+        std::span<ServerThermalNetwork *const> nets, double dtTotal,
+        double dtStep);
+
     /** @return The guard policy for this network. */
     const guard::GuardConfig &guardConfig() const
     {
@@ -323,6 +352,9 @@ class ServerThermalNetwork
     double obsClock() const { return obs_clock_; }
 
   private:
+    /** The lane kernel's packing and commit (thermal/lanes.cc). */
+    friend struct LaneCall;
+
     /** Temperature of node i at enthalpy h. */
     double tempOf(std::size_t i, double h) const;
 

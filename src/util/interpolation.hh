@@ -86,6 +86,11 @@ class PiecewiseLinear
     /** @return True if y values are strictly increasing in x. */
     bool strictlyIncreasing() const { return increasing_; }
 
+    /** @return The sorted breakpoint abscissae. */
+    const std::vector<double> &xs() const { return xs_; }
+    /** @return The ordinates matching xs(). */
+    const std::vector<double> &ys() const { return ys_; }
+
   private:
     /** Recompute increasing_ from ys_ (after any change to ys_). */
     void updateIncreasing();

@@ -2,7 +2,8 @@
  * @file
  * Allocation gate for the thermal hot path: once a server is warm, a
  * fleet row's control step (setLoad, the three read-outs, then
- * advance(60, 15)) makes no heap allocation.
+ * advance(60, 15)) makes no heap allocation, and neither does a warm
+ * 8-lane advanceLanes call.
  *
  * The global operator new/delete are replaced with counting versions,
  * so this file is its own test executable.  libstdc++'s array and
@@ -16,12 +17,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "core/run_config.hh"
 #include "core/thermal_time_shifting.hh"
 #include "server/server_model.hh"
+#include "thermal/network.hh"
 
 namespace {
 
@@ -82,6 +85,43 @@ TEST(HotPathAllocs, WarmControlStepAllocatesNothing)
         EXPECT_TRUE(std::isfinite(sink)) << tags[a];
         EXPECT_EQ(allocs, 0u)
             << tags[a] << ": 100 control steps allocated " << allocs
+            << " times";
+    }
+}
+
+TEST(HotPathAllocs, WarmLaneCallAllocatesNothing)
+{
+    const char *const tags[] = {"1u", "2u", "ocp"};
+    const std::vector<server::ServerSpec> specs = core::paperPlatforms();
+    const server::WaxConfig wax = core::RunConfig{}.waxConfig();
+    constexpr std::size_t lanes = thermal::ServerThermalNetwork::kLanes;
+    for (std::size_t a = 0; a < specs.size(); ++a) {
+        std::vector<std::unique_ptr<server::ServerModel>> rows;
+        std::vector<thermal::ServerThermalNetwork *> nets;
+        for (std::size_t i = 0; i < lanes; ++i) {
+            rows.push_back(
+                std::make_unique<server::ServerModel>(specs[a], wax));
+            nets.push_back(&rows.back()->network());
+        }
+        double sink = 0.0;
+        auto step = [&](int k) {
+            for (std::size_t i = 0; i < lanes; ++i) {
+                server::ServerModel &m = *rows[i];
+                m.setLoad(0.5 + 0.45 * std::sin(0.3 * k + 0.1 * i));
+                sink += m.coolingLoad() + m.wallPower() +
+                    m.waxMeltFraction();
+            }
+            thermal::ServerThermalNetwork::advanceLanes(nets, 60.0, 15.0);
+        };
+        for (int k = 0; k < 10; ++k)
+            step(k);
+        const std::uint64_t before = g_news.load();
+        for (int k = 10; k < 110; ++k)
+            step(k);
+        const std::uint64_t allocs = g_news.load() - before;
+        EXPECT_TRUE(std::isfinite(sink)) << tags[a];
+        EXPECT_EQ(allocs, 0u)
+            << tags[a] << ": 100 lane calls allocated " << allocs
             << " times";
     }
 }

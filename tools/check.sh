@@ -8,22 +8,29 @@
 #     disabled-obs overhead <= 2 %), fleet, opt, serve, plant and
 #     perf (the perf_thermal_kernel smoke), then the full two-day
 #     thermal-kernel gate - cached kernel >= 2x the reference
-#     arithmetic with a bit-identical end state and a bit-identical
-#     1-vs-8-thread 16-server fleet - which rewrites
+#     arithmetic with a bit-identical end state, a bit-identical
+#     1-vs-8-thread 16-server fleet, and the lane kernel >= 1.5x
+#     scalar advance() per row step with every read-out and end
+#     state bit-identical (lanes_identical) - which rewrites
 #     BENCH_thermal.json at the repo root.
 #  2. ThreadSanitizer tree (build-tsan/, TTS_SANITIZE=thread): the
 #     exec, fault, obs, fleet, opt, plant and serve suites at 8
 #     threads, the DCSim tests, 50 repeats of the daemon's ladder
 #     tests, the multi-client socket soak, and the tts_sim CLI smoke
 #     (a fleet with metrics, trace and profile on).
-#  3. ASan+UBSan tree (build-asan/, TTS_SANITIZE=address): the guard
-#     and util suites, cluster save/restore (including resealed
-#     checkpoints with out-of-range indices) and round-robin dispatch
-#     around dead servers (DcSimFaultInvariants.*), fleet
-#     save/restore and slice stepping (FleetCheckpoint.*, including
-#     the pause off a slice boundary, and FleetStep.*: a slice stores
-#     one read-out per row per step in buffers indexed by slice step),
-#     the PCM enthalpy curve and element, the thermal kernel, plant
+#  3. ASan+UBSan tree (build-asan/, TTS_SANITIZE=address, which also
+#     sets -fno-sanitize-recover=undefined and -D_GLIBCXX_ASSERTIONS,
+#     so a UBSan report or an index past a container's size fails
+#     the test; tts_util_test's SanitizerTree.* death tests show
+#     both): the guard and util suites, cluster save/restore
+#     (including resealed checkpoints with out-of-range indices) and
+#     round-robin dispatch around dead servers
+#     (DcSimFaultInvariants.*), fleet save/restore and slice stepping
+#     (FleetCheckpoint.*, including the pause off a slice boundary,
+#     and FleetStep.*: a slice stores one read-out per row per step
+#     in buffers indexed by slice step, and steps its rows through
+#     the lane kernel), the PCM enthalpy curve and element, the
+#     thermal kernel and its lanes (AdvanceLanes.*), plant
 #     kill/resume, the wax-placement search (its folds read memoized
 #     archetype trajectories, which the memo evicts between batches),
 #     and the untrusted-input parsers: serve frames, requests and
@@ -85,7 +92,7 @@ ctest --test-dir build -L plant --output-on-failure -j
 echo "== ctest -L perf (smoke) =="
 ctest --test-dir build -L perf --output-on-failure -j
 
-echo "== perf gate: SoA thermal kernel (2x, bit-identity) =="
+echo "== perf gate: SoA thermal kernel (2x), lanes (1.5x), bit-identity =="
 ./build/bench/perf_thermal_kernel --min-speedup=2.0 \
     --out=BENCH_thermal.json
 
@@ -115,8 +122,9 @@ echo "== TSan: sharded fleet sim, 8 threads =="
 TTS_THREADS=8 ./build-tsan/tests/tts_fleet_test
 echo "== TSan: tts_sim CLI smoke, fleet with obs on at 1 and 8 threads =="
 # The only lane that steps a fleet with obs enabled: per-row obs
-# clocks, melt events and profile scopes on worker threads.  A race
-# report makes tts_sim exit non-zero, which fails the smoke.
+# clocks, melt events, profile scopes and the lane kernel (its
+# thread-local scratch, each lane's events) on worker threads.  A
+# race report makes tts_sim exit non-zero, which fails the smoke.
 sh tests/tools/tts_sim_cli_smoke.sh ./build-tsan/tools/tts_sim \
     build-tsan/tts_sim_cli_smoke
 echo "== TSan: wax-placement search, 8 threads =="
@@ -159,7 +167,7 @@ echo "== ASan: cluster simulator save/restore + dead-server dispatch =="
     --gtest_filter='ClusterSim*:DcSimFaultInvariants.*'
 echo "== ASan: PCM enthalpy curve + element (the kernel's lookups) =="
 ./build-asan/tests/tts_pcm_test
-echo "== ASan: SoA thermal kernel + airflow memo =="
+echo "== ASan: SoA thermal kernel + lanes + airflow memo =="
 ./build-asan/tests/tts_thermal_test
 echo "== ASan: fleet checkpoint save/restore + slice stepping =="
 ./build-asan/tests/tts_fleet_test \
